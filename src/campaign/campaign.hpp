@@ -147,15 +147,6 @@ struct CampaignSpec {
   /// prove the byte contract under sanitizers); explicit assignment always
   /// wins.
   unsigned lane_width{default_lane_width()};
-  /// Escape hatch: let the batched SoA fast path use FMA contraction and
-  /// reassociated reductions in its strided step body (see
-  /// systems::RunOptions::allow_reassociation). Off by default — the
-  /// default path is byte-identical at every lane_width and thread count;
-  /// turning this on surrenders bit-exactness for extra vectorization
-  /// headroom, with the energy ledger's <1e-9 relative-residual gate still
-  /// bounding the drift. Also settable per scenario via Scenario::options;
-  /// this campaign-wide flag ORs into every block.
-  bool allow_reassociation{false};
 };
 
 /// One grid point's outcome, tagged with its coordinates.
@@ -239,9 +230,17 @@ class Campaign {
   /// platform variant shares the same (scenario, seed) snapshot, so after a
   /// full run this equals scenarios x seeds however many variants ran —
   /// minus the slots served from the persistent cache, which count under
-  /// trace_cache_stats().hits instead.
+  /// trace_cache_hits() instead.
   [[nodiscard]] std::uint64_t trace_compiles() const {
     return trace_compiles_.load(std::memory_order_relaxed);
+  }
+
+  /// Ambient timelines this campaign loaded from the persistent trace
+  /// cache. Unlike trace_cache_stats().hits, which a shared cache
+  /// accumulates over every campaign it served, this counts only this
+  /// campaign's own loads.
+  [[nodiscard]] std::uint64_t trace_cache_hits() const {
+    return trace_cache_hits_.load(std::memory_order_relaxed);
   }
 
   /// Persistent-cache counters (all zero when trace_cache_dir is empty).
@@ -306,18 +305,7 @@ class Campaign {
   std::shared_ptr<env::TraceCache> trace_cache_;
   std::atomic<std::uint64_t> trace_compiles_{0};
   std::atomic<std::uint64_t> lane_blocks_{0};
-  // SoA kernel counters summed over every lane block (systems::soa::
-  // SoaCounters fields, accumulated atomically because blocks run on the
-  // pool). Surface through metrics() as campaign.soa.* rows only — like the
-  // trace-cache rows they are run-variant (lane width and scheduling change
-  // them), so they never join the byte-stable result fold.
-  std::atomic<std::uint64_t> soa_steps_{0};
-  std::atomic<std::uint64_t> soa_quiet_steps_{0};
-  std::atomic<std::uint64_t> soa_lane_steps_{0};
-  std::atomic<std::uint64_t> soa_resident_lane_steps_{0};
-  std::atomic<std::uint64_t> soa_exit_event_due_{0};
-  std::atomic<std::uint64_t> soa_exit_not_resident_{0};
-  std::atomic<std::uint64_t> soa_thermal_latched_{0};
+  std::atomic<std::uint64_t> trace_cache_hits_{0};
   bool ran_{false};
 };
 

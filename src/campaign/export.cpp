@@ -130,12 +130,14 @@ std::string results_json(const Campaign& campaign) {
     out += num(static_cast<double>(spec.seeds[k]));
   }
   // Timelines materialized, regardless of provenance: live compiles plus
-  // persistent-cache hits. Counting hits in keeps this document
-  // byte-identical between a cold run (all compiles) and a warm one (all
-  // hits) — the export byte-identity contract must not see cache state.
+  // this campaign's own persistent-cache hits. Counting hits in keeps this
+  // document byte-identical between a cold run (all compiles) and a warm
+  // one (all hits), and counting only this campaign's keeps it independent
+  // of what a shared cache served before — the export byte-identity
+  // contract must see neither cache state nor request history.
   out += "],\n  \"trace_compiles\": " +
          num(static_cast<double>(campaign.trace_compiles() +
-                                 campaign.trace_cache_stats().hits));
+                                 campaign.trace_cache_hits()));
   out += ",\n  \"jobs\": [";
   bool first_job = true;
   for (const auto& job : campaign.results()) {

@@ -5,12 +5,12 @@
 // primary artifact of a harvesting study; end-of-run aggregates alone cannot
 // show *when* a system browned out or which source carried the morning. A
 // Timeline is the deterministic container for that artifact: a column-major
-// (SoA) table of named channels sampled on a fixed simulated-time cadence.
+// table of named channels sampled on a fixed simulated-time cadence.
 //
 // The class is deliberately generic — it knows column names, not platform
 // internals — so the obs layer stays a leaf over core. The run-health schema
 // (per-source harvested/delivered power, storage SoC, backup-chain stage,
-// unserved energy, SoA lane residency) lives with the sampler in
+// unserved energy) lives with the sampler in
 // systems/runner.cpp, which is the single source for both the scalar and the
 // batched lane path.
 //

@@ -20,59 +20,6 @@
 
 namespace msehsim::power {
 
-namespace detail {
-
-/// Tracker-block state round-tripped through InputChain::tracker_update —
-/// the members the tracker mutates, as raw doubles so the batched SoA layer
-/// can keep them in per-lane columns. Value round-trips through double are
-/// exact, so loading members into this struct and storing back is a no-op
-/// in FP terms.
-struct TrackerState {
-  double next_update_s;
-  double operating_voltage_v;
-  double overhead_j;
-  double interruption_s;  ///< out: harvest interruption this step
-};
-
-/// Cold-start gate: returns whether the converter runs this step, updating
-/// the latched @p started flag exactly as InputChain::step_typed did.
-MSEHSIM_ALWAYS_INLINE bool converter_gate(double startup_v, double min_input_v,
-                                          double vin_v, bool& started) {
-  if (startup_v > 0.0) {
-    if (!started && vin_v >= startup_v) started = true;
-    if (started && vin_v < min_input_v) started = false;
-    return started;
-  }
-  started = true;
-  return true;
-}
-
-/// Transducer power after the tracker's sampling duty cycle (fraction of the
-/// step lost to a Voc sample).
-MSEHSIM_ALWAYS_INLINE double effective_power(double tp_w, double interruption_s,
-                                             double dt_s) {
-  const double duty = std::clamp(1.0 - interruption_s / dt_s, 0.0, 1.0);
-  return tp_w * duty;
-}
-
-/// Tail of the chain step: net-of-overhead power plus the five ledger
-/// accumulators, in the exact statement order of the historic body.
-MSEHSIM_ALWAYS_INLINE double tail_accumulate(
-    double effective_w, double out_w, double overhead_now_w, double mpp_w,
-    double dt_s, double& delivered_j, double& conversion_loss_j,
-    double& overhead_paid_j, double& harvested_sp_j,
-    double& harvestable_mpp_j) {
-  const double net = std::max(0.0, out_w - overhead_now_w);
-  delivered_j += net * dt_s;
-  conversion_loss_j += (effective_w - out_w) * dt_s;
-  overhead_paid_j += (out_w - net) * dt_s;
-  harvested_sp_j += effective_w * dt_s;
-  harvestable_mpp_j += mpp_w * dt_s;
-  return net;
-}
-
-}  // namespace detail
-
 class InputChain {
  public:
   /// @p mppt_period how often the controller re-evaluates the setpoint.
@@ -111,26 +58,45 @@ class InputChain {
       return Watts{0.0};
     }
 
-    detail::TrackerState ts{next_update_.value(), operating_voltage_.value(),
-                            overhead_.value(), 0.0};
-    tracker_update(h, conditions, now, ts);
-    next_update_ = Seconds{ts.next_update_s};
-    operating_voltage_ = Volts{ts.operating_voltage_v};
-    overhead_ = Joules{ts.overhead_j};
+    Seconds interruption{0.0};
+    if (now >= next_update_) {
+      if (sense_gain_ != 1.0) {
+        // Drifted sensing: the tracker sees a skewed environment, picks its
+        // setpoint on the wrong curve, then the true conditions come back for
+        // the physics below. Each swap goes through set_conditions, so the
+        // curve revision bumps and conditions-keyed MPP memos invalidate.
+        h.set_conditions(env::scaled(conditions, sense_gain_));
+        operating_voltage_ = mppt_->update(h, operating_voltage_);
+        h.set_conditions(conditions);
+      } else {
+        operating_voltage_ = mppt_->update(h, operating_voltage_);
+      }
+      overhead_ += mppt_->overhead_per_update();
+      interruption = mppt_->harvest_interruption();
+      next_update_ = now + mppt_period_;
+    }
 
     transducer_power_ = h.power_at(operating_voltage_);
 
     // Cold start: the converter cannot run until its input has once reached
     // the startup threshold; it stops (and must restart) if the input
     // collapses below its operating window.
-    if (!detail::converter_gate(converter_.params().startup_voltage.value(),
-                                converter_.params().min_input.value(),
-                                operating_voltage_.value(), started_)) {
+    const Converter::Params& cp = converter_.params();
+    if (cp.startup_voltage.value() > 0.0) {
+      if (!started_ && operating_voltage_ >= cp.startup_voltage)
+        started_ = true;
+      if (started_ && operating_voltage_ < cp.min_input) started_ = false;
+    } else {
+      started_ = true;
+    }
+    if (!started_) {
       harvestable_at_mpp_ += h.maximum_power_point().p * dt;
       return Watts{0.0};
     }
-    const Watts effective{detail::effective_power(
-        transducer_power_.value(), ts.interruption_s, dt.value())};
+    // A Voc sample interrupts harvesting for part of the step.
+    const double duty =
+        std::clamp(1.0 - interruption.value() / dt.value(), 0.0, 1.0);
+    const Watts effective = transducer_power_ * duty;
 
     const Watts out =
         converter_.transfer(effective, operating_voltage_, bus_voltage) *
@@ -138,52 +104,13 @@ class InputChain {
     // Tracker overhead is paid from the bus, amortized over this step.
     const double overhead_now =
         mppt_->overhead_per_update().value() / mppt_period_.value();
-
-    double delivered_j = delivered_.value();
-    double conversion_loss_j = conversion_loss_.value();
-    double overhead_paid_j = overhead_paid_.value();
-    double harvested_sp_j = harvested_at_setpoint_.value();
-    double harvestable_mpp_j = harvestable_at_mpp_.value();
-    const double net = detail::tail_accumulate(
-        effective.value(), out.value(), overhead_now,
-        h.maximum_power_point().p.value(), dt.value(), delivered_j,
-        conversion_loss_j, overhead_paid_j, harvested_sp_j, harvestable_mpp_j);
-    delivered_ = Joules{delivered_j};
-    conversion_loss_ = Joules{conversion_loss_j};
-    overhead_paid_ = Joules{overhead_paid_j};
-    harvested_at_setpoint_ = Joules{harvested_sp_j};
-    harvestable_at_mpp_ = Joules{harvestable_mpp_j};
-    return Watts{net};
-  }
-
-  /// Tracker block of step_typed, operating on @p s instead of the members
-  /// (exact statement sequence; the members round-trip through the struct on
-  /// the scalar path). Public so the batched SoA layer can run the tracker
-  /// per lane against its own columns; it reads only coefficient members
-  /// (sense gain, controller, period), which mutate solely through fault
-  /// events — and those force the lane scalar first.
-  template <typename H>
-  void tracker_update(H& h, const env::AmbientConditions& conditions,
-                      Seconds now, detail::TrackerState& s) {
-    s.interruption_s = 0.0;
-    if (now.value() >= s.next_update_s) {
-      Volts opv{s.operating_voltage_v};
-      if (sense_gain_ != 1.0) {
-        // Drifted sensing: the tracker sees a skewed environment, picks its
-        // setpoint on the wrong curve, then the true conditions come back for
-        // the physics below. Each swap goes through set_conditions, so the
-        // curve revision bumps and conditions-keyed MPP memos invalidate.
-        h.set_conditions(env::scaled(conditions, sense_gain_));
-        opv = mppt_->update(h, opv);
-        h.set_conditions(conditions);
-      } else {
-        opv = mppt_->update(h, opv);
-      }
-      s.operating_voltage_v = opv.value();
-      s.overhead_j += mppt_->overhead_per_update().value();
-      s.interruption_s = mppt_->harvest_interruption().value();
-      s.next_update_s = now.value() + mppt_period_.value();
-    }
+    const Watts net{std::max(0.0, out.value() - overhead_now)};
+    delivered_ += net * dt;
+    conversion_loss_ += (effective - out) * dt;
+    overhead_paid_ += (out - net) * dt;
+    harvested_at_setpoint_ += effective * dt;
+    harvestable_at_mpp_ += h.maximum_power_point().p * dt;
+    return net;
   }
 
   [[nodiscard]] const harvest::Harvester& harvester() const { return *harvester_; }
@@ -229,41 +156,6 @@ class InputChain {
   [[nodiscard]] bool started() const { return started_; }
 
   [[nodiscard]] Seconds mppt_period() const { return mppt_period_; }
-
-  /// The state the batched SoA layer owns while a lane is resident on the
-  /// fast path. Thermal-shutdown lanes never enter it, so the shutdown
-  /// counters stay object-only; everything else the step mutates is here.
-  struct HotState {
-    double next_update_s;
-    double operating_voltage_v;
-    double transducer_power_w;
-    double delivered_j;
-    double overhead_j;
-    double conversion_loss_j;
-    double overhead_paid_j;
-    double harvested_at_setpoint_j;
-    double harvestable_at_mpp_j;
-    bool started;
-  };
-  [[nodiscard]] HotState hot_state() const {
-    return {next_update_.value(),        operating_voltage_.value(),
-            transducer_power_.value(),   delivered_.value(),
-            overhead_.value(),           conversion_loss_.value(),
-            overhead_paid_.value(),      harvested_at_setpoint_.value(),
-            harvestable_at_mpp_.value(), started_};
-  }
-  void set_hot_state(const HotState& h) {
-    next_update_ = Seconds{h.next_update_s};
-    operating_voltage_ = Volts{h.operating_voltage_v};
-    transducer_power_ = Watts{h.transducer_power_w};
-    delivered_ = Joules{h.delivered_j};
-    overhead_ = Joules{h.overhead_j};
-    conversion_loss_ = Joules{h.conversion_loss_j};
-    overhead_paid_ = Joules{h.overhead_paid_j};
-    harvested_at_setpoint_ = Joules{h.harvested_at_setpoint_j};
-    harvestable_at_mpp_ = Joules{h.harvestable_at_mpp_j};
-    started_ = h.started;
-  }
 
   // ---- Fault injection (src/fault) ---------------------------------------
   // Converter anomalies are modelled behaviour (core/error.hpp): the chain

@@ -19,14 +19,6 @@
 
 #include "core/units.hpp"
 
-#if !defined(MSEHSIM_ALWAYS_INLINE)
-#if defined(__GNUC__) || defined(__clang__)
-#define MSEHSIM_ALWAYS_INLINE inline __attribute__((always_inline))
-#else
-#define MSEHSIM_ALWAYS_INLINE inline
-#endif
-#endif
-
 namespace msehsim::power {
 
 enum class Topology {
@@ -38,92 +30,6 @@ enum class Topology {
 };
 
 [[nodiscard]] std::string_view to_string(Topology t);
-
-namespace detail {
-
-/// Raw converter coefficients (exact Params fields) for the templated
-/// transfer kernels below — the single source shared by Converter's members
-/// and the batched SoA chain tail, which stores columns of these per lane.
-struct CvtCoef {
-  double peak_efficiency;
-  double rated_power;
-  double quiescent_current;
-  double min_input;
-  double max_input;
-  double diode_drop;
-  double conduction_loss_fraction;
-};
-
-/// can_convert with the topology branch resolved at compile time — the SoA
-/// chain tail instantiates one copy per (uniform) topology so the strided
-/// loop body is branch-minimal and auto-vectorizable.
-template <Topology T>
-MSEHSIM_ALWAYS_INLINE bool can_convert_raw(const CvtCoef& c, double vin,
-                                           double vout) {
-  if (vin < c.min_input || vin > c.max_input) return false;
-  if constexpr (T == Topology::kDiode) {
-    return vin - c.diode_drop >= vout;
-  } else if constexpr (T == Topology::kLdo || T == Topology::kBuck) {
-    return vin >= vout;
-  } else if constexpr (T == Topology::kBoost) {
-    return vin <= vout;
-  } else {
-    return true;
-  }
-}
-
-/// Forward transfer with the topology branch resolved at compile time; the
-/// expression sequence is the exact body of Converter::transfer.
-template <Topology T>
-MSEHSIM_ALWAYS_INLINE double transfer_raw(const CvtCoef& c, double input,
-                                          double vin, double vout) {
-  if (!can_convert_raw<T>(c, vin, vout)) return 0.0;
-  if (input <= 0.0) return 0.0;
-  const double pq = vin * c.quiescent_current;
-  if constexpr (T == Topology::kDiode) {
-    // Series element: the diode drop scales the power by Vout/Vin'.
-    const double ratio = vout / (vout + c.diode_drop);
-    return std::max(0.0, input * ratio);
-  } else if constexpr (T == Topology::kLdo) {
-    // All load current passes at Vin; the headroom is burned as heat.
-    const double ratio = std::min(1.0, vout / vin);
-    return std::max(0.0, (input - pq) * ratio);
-  } else {
-    const double conduction =
-        c.conduction_loss_fraction * input * input / c.rated_power;
-    const double out = c.peak_efficiency * input - pq - conduction;
-    return std::max(0.0, out);
-  }
-}
-
-MSEHSIM_ALWAYS_INLINE bool can_convert_dispatch(Topology t, const CvtCoef& c,
-                                                double vin, double vout) {
-  switch (t) {
-    case Topology::kDiode: return can_convert_raw<Topology::kDiode>(c, vin, vout);
-    case Topology::kLdo: return can_convert_raw<Topology::kLdo>(c, vin, vout);
-    case Topology::kBuck: return can_convert_raw<Topology::kBuck>(c, vin, vout);
-    case Topology::kBoost: return can_convert_raw<Topology::kBoost>(c, vin, vout);
-    case Topology::kBuckBoost:
-      return can_convert_raw<Topology::kBuckBoost>(c, vin, vout);
-  }
-  return false;
-}
-
-MSEHSIM_ALWAYS_INLINE double transfer_dispatch(Topology t, const CvtCoef& c,
-                                               double input, double vin,
-                                               double vout) {
-  switch (t) {
-    case Topology::kDiode: return transfer_raw<Topology::kDiode>(c, input, vin, vout);
-    case Topology::kLdo: return transfer_raw<Topology::kLdo>(c, input, vin, vout);
-    case Topology::kBuck: return transfer_raw<Topology::kBuck>(c, input, vin, vout);
-    case Topology::kBoost: return transfer_raw<Topology::kBoost>(c, input, vin, vout);
-    case Topology::kBuckBoost:
-      return transfer_raw<Topology::kBuckBoost>(c, input, vin, vout);
-  }
-  return 0.0;
-}
-
-}  // namespace detail
 
 class Converter {
  public:
@@ -152,22 +58,17 @@ class Converter {
   // the per-step hot path of every input chain and the batched lane kernel,
   // where a branch on topology plus three multiplies should not cost a call.
 
-  /// Raw coefficients for the detail:: transfer kernels (exact Params
-  /// fields, so the kernels see the same doubles the members do).
-  [[nodiscard]] detail::CvtCoef lane_coef() const {
-    return {params_.peak_efficiency,
-            params_.rated_power.value(),
-            params_.quiescent_current.value(),
-            params_.min_input.value(),
-            params_.max_input.value(),
-            params_.diode_drop.value(),
-            params_.conduction_loss_fraction};
-  }
-
   /// True if the topology can produce @p vout from @p vin at all.
   [[nodiscard]] bool can_convert(Volts vin, Volts vout) const {
-    return detail::can_convert_dispatch(params_.topology, lane_coef(),
-                                        vin.value(), vout.value());
+    if (vin < params_.min_input || vin > params_.max_input) return false;
+    switch (params_.topology) {
+      case Topology::kDiode: return vin - params_.diode_drop >= vout;
+      case Topology::kLdo:
+      case Topology::kBuck: return vin >= vout;
+      case Topology::kBoost: return vin <= vout;
+      case Topology::kBuckBoost: return true;
+    }
+    return false;
   }
 
   /// Power always drawn from the input side, even with no load.
@@ -177,12 +78,33 @@ class Converter {
 
   /// Forward transfer: output power produced when @p input power is
   /// available at @p vin, converting to @p vout. Includes quiescent and
-  /// conversion losses; returns 0 if the conversion is infeasible. The body
-  /// lives in detail::transfer_raw, shared with the batched SoA chain tail.
+  /// conversion losses; returns 0 if the conversion is infeasible.
   [[nodiscard]] Watts transfer(Watts input, Volts vin, Volts vout) const {
-    return Watts{detail::transfer_dispatch(params_.topology, lane_coef(),
-                                           input.value(), vin.value(),
-                                           vout.value())};
+    if (!can_convert(vin, vout)) return Watts{0.0};
+    const double in = input.value();
+    if (in <= 0.0) return Watts{0.0};
+    const double pq = vin.value() * params_.quiescent_current.value();
+    switch (params_.topology) {
+      case Topology::kDiode: {
+        // Series element: the diode drop scales the power by Vout/Vin'.
+        const double ratio =
+            vout.value() / (vout.value() + params_.diode_drop.value());
+        return Watts{std::max(0.0, in * ratio)};
+      }
+      case Topology::kLdo: {
+        // All load current passes at Vin; the headroom is burned as heat.
+        const double ratio = std::min(1.0, vout.value() / vin.value());
+        return Watts{std::max(0.0, (in - pq) * ratio)};
+      }
+      case Topology::kBuck:
+      case Topology::kBoost:
+      case Topology::kBuckBoost: {
+        const double conduction = params_.conduction_loss_fraction * in * in /
+                                  params_.rated_power.value();
+        return Watts{std::max(0.0, params_.peak_efficiency * in - pq - conduction)};
+      }
+    }
+    return Watts{0.0};
   }
 
   /// Inverse transfer: input power that must be supplied to deliver

@@ -10,6 +10,8 @@ namespace msehsim::storage {
 
 namespace {
 constexpr double kSecondsPerMonth = 30.0 * 86400.0;
+/// SoC breakpoints of Params::ocv_curve.
+constexpr std::array<double, 5> kSocBreaks{0.0, 0.25, 0.5, 0.75, 1.0};
 }  // namespace
 
 Battery::Battery(std::string name, Params params)
@@ -48,21 +50,23 @@ double Battery::equivalent_full_cycles() const {
   return throughput_.value() / (2.0 * full_charge_.value());
 }
 
-// SoC/OCV/charge/discharge math lives in storage/lane_kernels.hpp so the
-// batched SoA path runs the identical expression sequence; the members here
-// delegate to it.
 double Battery::state_of_health() const {
-  return lanekernel::bat_soh(lane_coef(), throughput_.value());
+  const double fade = params_.capacity_fade_per_cycle *
+                      (throughput_.value() / (2.0 * full_charge_.value()));
+  // Floored: cells fail first.
+  return std::max(0.1, (1.0 - fade) * fault_health_);
 }
 
 Coulombs Battery::effective_full_charge() const {
-  return Coulombs{lanekernel::bat_eff_full(lane_coef(), throughput_.value())};
+  return Coulombs{full_charge_.value() * state_of_health()};
 }
 
 double Battery::soc_now() const { return charge_ / effective_full_charge(); }
 
 Volts Battery::ocv_at(double soc) const {
-  return Volts{lanekernel::bat_ocv_at(lane_coef(), soc)};
+  return Volts{interp_clamped(kSocBreaks.data(), params_.ocv_curve.data(),
+                              static_cast<int>(kSocBreaks.size()),
+                              std::clamp(soc, 0.0, 1.0))};
 }
 
 Volts Battery::voltage() const { return ocv_at(soc_now()); }
@@ -101,25 +105,45 @@ Joules Battery::capacity() const {
 }
 
 Watts Battery::charge(Watts power, Seconds dt) {
-  double charge = charge_.value();
-  double throughput = throughput_.value();
-  const double absorbed = lanekernel::bat_charge(lane_coef(), charge,
-                                                 throughput, power.value(),
-                                                 dt.value());
-  charge_ = Coulombs{charge};
-  throughput_ = Coulombs{throughput};
-  return Watts{absorbed};
+  const double p = power.value();
+  if (!params_.rechargeable || p <= 0.0) return Watts{0.0};
+  if (charge_.value() >= effective_full_charge().value()) return Watts{0.0};
+  // Constant-power charge: P = (OCV + I R) I, current-limited, headroom
+  // capped.
+  const double ocv = voltage().value();
+  const double r = params_.internal_resistance.value();
+  const double eff = params_.coulombic_efficiency;
+  double current = (-ocv + std::sqrt(ocv * ocv + 4.0 * r * p)) / (2.0 * r);
+  current = std::min(current, params_.max_charge_current.value());
+  const double headroom = effective_full_charge().value() - charge_.value();
+  current = std::min(current, headroom / (eff * dt.value()));
+  if (current <= 0.0) return Watts{0.0};
+  const double dq = current * eff * dt.value();
+  charge_ = Coulombs{charge_.value() + dq};
+  throughput_ = Coulombs{throughput_.value() + dq};
+  return Watts{(ocv + current * r) * current};
 }
 
 Watts Battery::discharge(Watts power, Seconds dt) {
-  double charge = charge_.value();
-  double throughput = throughput_.value();
-  const double delivered = lanekernel::bat_discharge(lane_coef(), charge,
-                                                     throughput, power.value(),
-                                                     dt.value());
+  const double p = power.value();
+  if (p <= 0.0 || charge_.value() <= 0.0) return Watts{0.0};
+  // Constant-power discharge: P = (OCV - I R) I, matched-load and
+  // current-limit capped.
+  const double ocv = voltage().value();
+  const double r = params_.internal_resistance.value();
+  const double p_max = ocv * ocv / (4.0 * r);
+  const double p_req = std::min(p, p_max);
+  double current =
+      (ocv - std::sqrt(std::max(0.0, ocv * ocv - 4.0 * r * p_req))) / (2.0 * r);
+  current = std::min(current, params_.max_discharge_current.value());
+  current = std::min(current, charge_.value() / dt.value());
+  if (current <= 0.0) return Watts{0.0};
+  const double dq = current * dt.value();
+  double charge = charge_.value() - dq;
+  throughput_ = Coulombs{throughput_.value() + dq};
+  if (charge < 0.0) charge = 0.0;
   charge_ = Coulombs{charge};
-  throughput_ = Coulombs{throughput};
-  return Watts{delivered};
+  return Watts{(ocv - current * r) * current};
 }
 
 void Battery::apply_leakage(Seconds dt) {
@@ -142,8 +166,14 @@ void Battery::set_leakage_multiplier(double multiplier) {
 }
 
 Watts Battery::max_discharge_power() const {
-  return Watts{lanekernel::bat_max_discharge_power(lane_coef(), charge_.value(),
-                                                   throughput_.value())};
+  // Lesser of the matched-load bound and the current-limit bound.
+  const double ocv = voltage().value();
+  const double r = params_.internal_resistance.value();
+  const double i_lim = params_.max_discharge_current.value();
+  const double p_matched = ocv * ocv / (4.0 * r);
+  const double p_current = (ocv - i_lim * r) * i_lim;
+  if (charge_.value() <= 0.0) return Watts{0.0};
+  return Watts{std::max(0.0, std::min(p_matched, p_current))};
 }
 
 // ---------------------------------------------------------------------------

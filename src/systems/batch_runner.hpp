@@ -35,17 +35,6 @@
 //    same code run_platform ends with — so exports, the energy ledger,
 //    metrics, and the survivability report cannot drift.
 //
-// Eligible lanes (see systems/soa_state.hpp) additionally run their storage
-// and chain inner loops as width-strided SoA kernels over per-group
-// contiguous columns, exiting to the scalar body around events and
-// re-entering after — the same single-source per-element kernels either
-// way, so the contract holds at every lane width and thread count. By
-// default no reduction is reassociated: every accumulator is advanced
-// lane-locally in the same order as the scalar path, so there is nothing
-// for the ledger residual to gate beyond its usual <1e-9 bound.
-// RunOptions::allow_reassociation trades that bit-exactness for FMA and
-// reordered reductions in the strided loops, still under the ledger gate.
-//
 // Constraints: options.recorder and options.injector must be null (per-lane
 // injectors are passed to add_lane), options.dt must equal the trace's
 // compiled dt, and lanes must not hot-swap components mid-run (fault events
@@ -63,7 +52,6 @@
 #include "fault/injector.hpp"
 #include "systems/platform.hpp"
 #include "systems/runner.hpp"
-#include "systems/soa_state.hpp"
 
 namespace msehsim::systems {
 
@@ -87,18 +75,6 @@ class BatchRunner {
 
   [[nodiscard]] std::size_t lane_count() const { return lanes_.size(); }
 
-  /// Lanes that joined the SoA fast path (systems/soa_state.hpp) on the last
-  /// run() — eligibility is decided per lane at run start. Observability for
-  /// tests and benches; 0 before run().
-  [[nodiscard]] std::size_t soa_lane_count() const { return soa_lane_count_; }
-
-  /// SoA kernel execution counters from the last run() (zeros before it, or
-  /// when no lane joined the fast path). Diagnostics only — these feed the
-  /// campaign's metrics surface, never a RunResult.
-  [[nodiscard]] const soa::SoaCounters& soa_counters() const {
-    return soa_counters_;
-  }
-
   /// Advances every lane in lockstep to @p duration and returns one
   /// RunResult per lane, in add_lane order. Runs once.
   std::vector<RunResult> run();
@@ -111,8 +87,6 @@ class BatchRunner {
   RunOptions options_;
   std::vector<std::unique_ptr<Lane>> lanes_;
   bool ran_{false};
-  std::size_t soa_lane_count_{0};
-  soa::SoaCounters soa_counters_;
 };
 
 /// One lane's inputs for the convenience wrapper below.

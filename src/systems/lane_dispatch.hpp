@@ -9,9 +9,7 @@
 // devirtualize (and mostly inline) the calls inside Platform::step_with /
 // InputChain::step_typed.
 //
-// Internal header shared by systems/batch_runner.cpp and the SoA lane-state
-// layer (systems/soa_state.*), which needs the same tags to type storage
-// slots and run per-lane harvester pre-stages through with_harvester.
+// Internal header of systems/batch_runner.cpp.
 #pragma once
 
 #include <cstdint>

@@ -183,20 +183,12 @@ struct RunOptions {
   /// its counters land in RunResult::faults. Must outlive the run. A given
   /// injector can be armed only once (one injector per run).
   fault::FaultInjector* injector{nullptr};
-  /// Batched lanes only (systems::BatchRunner): permit the SoA fast path to
-  /// use FMA contraction and reassociated reductions in its strided step
-  /// body. Off by default — the default path is byte-identical to the
-  /// scalar runner at every lane width; turning this on surrenders
-  /// bit-exactness for extra vectorization headroom, bounded by the energy
-  /// ledger's <1e-9 relative-residual gate. Ignored by run_platform.
-  bool allow_reassociation{false};
   /// When positive, a fixed-cadence run-health timeline (SoC, stored energy,
   /// unserved energy, backup-chain stage, per-source harvested/delivered
   /// power) is sampled every timeline_dt of simulated time and attached as
   /// RunResult::timeline. Sampling is read-only — results are byte-identical
-  /// with it on or off — but lanes with a due sample leave the SoA fast path
-  /// for that step, so prefer coarse cadences on batched campaigns
-  /// (obs::Timeline::kDefaultCadenceS is the documented default).
+  /// with it on or off (obs::Timeline::kDefaultCadenceS is the documented
+  /// default cadence).
   Seconds timeline_dt{0.0};
 };
 
@@ -228,12 +220,8 @@ struct MidRunProbe {
 struct TimelineSampler {
   std::shared_ptr<obs::Timeline> timeline;
   Platform* platform{nullptr};
-  /// SoA residency of this sampler's lane at the sampled step (batched path
-  /// writes it just before dispatch; run_platform leaves it 0). The one
-  /// width-dependent column, excluded from cross-width comparisons.
-  double soa_resident{0.0};
 
-  /// Builds the column table for @p p (5 scalar columns + 2 per source)
+  /// Builds the column table for @p p (4 scalar columns + 2 per source)
   /// and pre-reserves for @p duration at @p cadence.
   void init(Platform& p, Seconds cadence, Seconds duration);
   /// Appends one sample at @p now. Powers are trailing deltas of the

@@ -8,13 +8,12 @@
 // energy-ledger leak detector that rides on the campaign aggregation.
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "campaign/campaign.hpp"
-#include "env/compiled_trace.hpp"
+#include "campaign/export.hpp"
 #include "env/environment.hpp"
 #include "fault/injector.hpp"
 #include "harvest/transducers.hpp"
@@ -25,7 +24,6 @@
 #include "storage/battery.hpp"
 #include "storage/supercapacitor.hpp"
 #include "obs/timeline.hpp"
-#include "systems/batch_runner.hpp"
 #include "systems/catalog.hpp"
 #include "systems/platform.hpp"
 #include "systems/runner.hpp"
@@ -197,7 +195,7 @@ TEST(BatchRunner, DisabledTraceCompilationFallsBackToLegacy) {
 /// A probe platform whose supercapacitor leaks heavily: as harvest charges
 /// the (initially empty) capacitor, the v^2/R leakage loss accelerates, so
 /// storage loss grows superlinearly in duration — exactly the signature the
-/// leak detector flags. Also a SoA-eligible shape (single EDLC, no node).
+/// leak detector flags.
 std::unique_ptr<systems::Platform> leaky_platform() {
   systems::PlatformSpec spec;
   spec.name = "leaky";
@@ -233,55 +231,16 @@ std::unique_ptr<systems::Platform> steady_platform() {
   return p;
 }
 
-// ---------------------------------------------------------------------------
-// SoA fast path
-// ---------------------------------------------------------------------------
-
-/// Drives BatchRunner directly (no campaign wrapper) so the test can see
-/// which lanes the SoA layer actually enrolled: System B (supercap + NiMH,
-/// both column-packable) must ride the fast path, System A (fuel-cell slot)
-/// must stay on the legacy scalar body — and both must reproduce
-/// run_platform byte for byte.
-TEST(SoaPath, EnrollsEligibleLanesAndMatchesTheScalarRunner) {
-  const Seconds dt{5.0};
-  const Seconds duration{1800.0};
-  systems::RunOptions options;
-  options.dt = dt;
-  options.mean_query_interval = Seconds{120.0};
-
-  auto model = env::Environment::outdoor(7);
-  const auto trace = env::CompiledTrace::compile(model, dt, duration);
-
-  auto a = systems::build_system_a(7);
-  auto b = systems::build_system_b(7);
-  systems::BatchRunner runner(trace, duration, options);
-  runner.add_lane(*a);
-  runner.add_lane(*b);
-  const auto batched = runner.run();
-  ASSERT_EQ(batched.size(), 2u);
-  EXPECT_EQ(runner.soa_lane_count(), 1u)
-      << "System B must enroll in the SoA fast path; System A must not";
-
-  auto scalar = [&](std::unique_ptr<systems::Platform> p) {
-    env::CompiledEnvironment environment(trace);
-    return to_string(
-        systems::run_platform(*p, environment, duration, options));
-  };
-  EXPECT_EQ(scalar(systems::build_system_a(7)), to_string(batched[0]));
-  EXPECT_EQ(scalar(systems::build_system_b(7)), to_string(batched[1]));
-}
-
-/// Fault schedule aimed at a SoA-eligible platform: every onset bounces the
-/// lane off the columns to the scalar body, every heal/expiry re-enters it
-/// with refreshed per-lane coefficients (leakage-spike multiplier, droop
-/// factor, intermittent gating), and the thermal shutdown parks the lane
-/// scalar-side until the converter recovers. Bytes must not move.
-TEST(BatchRunner, ByteIdenticalUnderFaultsOnSoaEligibleLanes) {
+/// Fault schedule aimed at System B's storage and input chain: intermittent
+/// harvest and its heal, a leakage spike with expiry, converter droop, and a
+/// thermal shutdown that cuts the chain for ten minutes. The batched lanes
+/// must reproduce the run_platform (width 1) bytes through every onset.
+TEST(BatchRunner, ByteIdenticalUnderStorageAndConverterFaults) {
   CampaignSpec spec;
   spec.platforms.push_back(
       {"system-b", [](std::uint64_t s) { return systems::build_system_b(s); }});
   Scenario sc;
-  sc.name = "faulted-soa";
+  sc.name = "faulted-b";
   sc.environment = outdoor_factory();
   sc.duration = Seconds{7200.0};
   sc.options.dt = Seconds{5.0};
@@ -303,7 +262,7 @@ TEST(BatchRunner, ByteIdenticalUnderFaultsOnSoaEligibleLanes) {
   expect_width_invariant(spec);
 }
 
-/// A PV front end over a NiMH cell — battery columns in a group of their own.
+/// A PV front end over a NiMH cell.
 std::unique_ptr<systems::Platform> battery_buffered_platform() {
   systems::PlatformSpec spec;
   spec.name = "battery-buffered";
@@ -320,7 +279,7 @@ std::unique_ptr<systems::Platform> battery_buffered_platform() {
 
 /// Same front end over a lithium-ion capacitor: a two-branch supercap whose
 /// coefficients (C, Rleak, redistribution tau) differ from the EDLC
-/// variants sharing its column group.
+/// variants batched beside it.
 std::unique_ptr<systems::Platform> lic_platform() {
   systems::PlatformSpec spec;
   spec.name = "lic";
@@ -338,8 +297,8 @@ std::unique_ptr<systems::Platform> lic_platform() {
 
 /// Heterogeneous storage variants batched together: two EDLCs with very
 /// different C/Rleak, an LIC, and a battery, all in one campaign block. The
-/// per-lane exp() hoists and decay memos must key on each lane's own
-/// coefficients — a regression gate for cross-lane memo bleed.
+/// storage decay memos must key on each device's own coefficients — a
+/// regression gate for cross-lane memo bleed.
 TEST(BatchRunner, ByteIdenticalAcrossHeterogeneousStorageVariants) {
   CampaignSpec spec;
   spec.platforms.push_back(
@@ -359,21 +318,6 @@ TEST(BatchRunner, ByteIdenticalAcrossHeterogeneousStorageVariants) {
   spec.seeds = {4, 21};
   spec.compile_traces = true;
   expect_width_invariant(spec);
-}
-
-/// The allow_reassociation escape hatch surrenders bit-exactness, not
-/// correctness: every job's energy ledger must still close inside the same
-/// <1e-9 relative-residual gate the exact path is held to.
-TEST(SoaPath, ReassociationKeepsLedgerResidualBounded) {
-  CampaignSpec spec = systems_grid();
-  spec.lane_width = 8;
-  spec.allow_reassociation = true;
-  Campaign c(spec);
-  c.run();
-  EXPECT_GT(c.lane_blocks(), 0u);
-  ASSERT_FALSE(c.results().empty());
-  for (const auto& job : c.results())
-    EXPECT_LT(std::abs(job.result.ledger.relative_residual()), 1e-9);
 }
 
 // ---------------------------------------------------------------------------
@@ -440,10 +384,10 @@ TEST(RunTimeline, ByteIdenticalAcrossLaneWidthsWithSamplingOn) {
   expect_width_invariant(spec);
 }
 
-TEST(RunTimeline, FaultedSoaGridByteIdenticalWithSamplingOn) {
-  // The sampler's periodic forces lanes with due samples onto the scalar
-  // body for a step — a perf event, never a physics one. Faults layered on
-  // top must still reproduce the width-1 reference byte for byte.
+TEST(RunTimeline, FaultedGridByteIdenticalWithSamplingOn) {
+  // The sampler's periodic shares each lane's event queue with the fault
+  // onsets; with both armed the batched lanes must still reproduce the
+  // width-1 reference byte for byte.
   CampaignSpec spec;
   spec.platforms.push_back(
       {"system-b", [](std::uint64_t s) { return systems::build_system_b(s); }});
@@ -490,113 +434,27 @@ TEST(RunTimeline, SamplingOnVsOffReportsIdenticalBytesAtWidthEight) {
   }
 }
 
-TEST(RunTimeline, BatchedSamplesMatchScalarExceptResidencyColumn) {
-  const Seconds dt{5.0};
-  const Seconds duration{1800.0};
-  systems::RunOptions options;
-  options.dt = dt;
-  options.mean_query_interval = Seconds{120.0};
-  options.timeline_dt = Seconds{60.0};
-
-  auto model = env::Environment::outdoor(7);
-  const auto trace = env::CompiledTrace::compile(model, dt, duration);
-
-  auto a = systems::build_system_a(7);
-  auto b = systems::build_system_b(7);
-  systems::BatchRunner runner(trace, duration, options);
-  runner.add_lane(*a);
-  runner.add_lane(*b);
-  const auto batched = runner.run();
-  ASSERT_EQ(batched.size(), 2u);
-
-  auto scalar = [&](std::unique_ptr<systems::Platform> p) {
-    env::CompiledEnvironment environment(trace);
-    return systems::run_platform(*p, environment, duration, options);
-  };
-  const auto ref_a = scalar(systems::build_system_a(7));
-  const auto ref_b = scalar(systems::build_system_b(7));
-
-  for (const auto& [got, want] : {std::pair{&batched[0], &ref_a},
-                                  std::pair{&batched[1], &ref_b}}) {
-    ASSERT_NE(got->timeline, nullptr);
-    ASSERT_NE(want->timeline, nullptr);
-    const auto& gt = *got->timeline;
-    const auto& wt = *want->timeline;
-    ASSERT_EQ(gt.columns(), wt.columns());
-    ASSERT_EQ(gt.sample_count(), wt.sample_count());
-    EXPECT_EQ(gt.time(), wt.time());
-    for (std::size_t col = 0; col < gt.column_count(); ++col) {
-      // soa_resident is width-dependent by design: the scalar runner never
-      // has a resident lane, the batched one usually does. Everything else
-      // must agree to the bit.
-      if (gt.columns()[col] == "soa_resident") continue;
-      EXPECT_EQ(gt.column(col), wt.column(col)) << gt.columns()[col];
+TEST(RunTimeline, TimelineBytesIdenticalAcrossLaneWidths) {
+  // Every timeline column, not just the results, must be the same bytes on
+  // the batched path as on the run_platform path (width 1).
+  auto timelines_at = [](unsigned width) {
+    CampaignSpec spec = systems_grid();
+    spec.lane_width = width;
+    spec.threads = 1;
+    spec.scenarios[0].options.timeline_dt = Seconds{60.0};
+    Campaign c(spec);
+    c.run();
+    std::vector<std::string> out{timelines_json(c)};
+    for (const auto& job : c.results()) {
+      EXPECT_NE(job.result.timeline, nullptr);
+      if (job.result.timeline) out.push_back(job.result.timeline->csv());
     }
-    const auto residency = gt.find_column("soa_resident");
-    ASSERT_NE(residency, obs::Timeline::npos);
-    for (const double v : wt.column(residency))
-      EXPECT_DOUBLE_EQ(v, 0.0);  // scalar runner: nothing is ever resident
-  }
-  // System B rides the SoA columns, so its batched residency column must
-  // actually light up somewhere mid-run.
-  const auto residency = batched[1].timeline->find_column("soa_resident");
-  double seen = 0.0;
-  for (const double v : batched[1].timeline->column(residency))
-    seen = std::max(seen, v);
-  EXPECT_DOUBLE_EQ(seen, 1.0);
-}
-
-// ---------------------------------------------------------------------------
-// SoA kernel counters
-// ---------------------------------------------------------------------------
-
-TEST(SoaCounters, PartitionLaneStepsAndShowResidency) {
-  const Seconds dt{5.0};
-  const Seconds duration{1800.0};
-  systems::RunOptions options;
-  options.dt = dt;
-  options.mean_query_interval = Seconds{120.0};
-
-  auto model = env::Environment::outdoor(7);
-  const auto trace = env::CompiledTrace::compile(model, dt, duration);
-  auto a = systems::build_system_a(7);
-  auto b = systems::build_system_b(7);
-  systems::BatchRunner runner(trace, duration, options);
-  runner.add_lane(*a);
-  runner.add_lane(*b);
-  (void)runner.run();
-
-  const auto& c = runner.soa_counters();
-  EXPECT_EQ(c.steps, 360u);  // 1800 s / 5 s
-  // One SoA lane (System B); System A stays scalar and never counts.
-  EXPECT_EQ(c.lane_steps, c.steps * runner.soa_lane_count());
-  EXPECT_EQ(c.resident_lane_steps + c.exit_event_due + c.exit_not_resident,
-            c.lane_steps);
-  EXPECT_LE(c.quiet_steps, c.steps);
-  // A clean outdoor run is overwhelmingly quiet: management ticks are 60 s
-  // apart on a 5 s step, so at least half of all lane-steps stay resident.
-  EXPECT_GT(c.resident_lane_steps * 2, c.lane_steps);
-  EXPECT_EQ(c.thermal_latched, 0u);
-}
-
-TEST(SoaCounters, ThermalLatchShowsUpUnderShutdownFaults) {
-  const Seconds dt{5.0};
-  const Seconds duration{7200.0};
-  systems::RunOptions options;
-  options.dt = dt;
-
-  auto model = env::Environment::outdoor(9);
-  const auto trace = env::CompiledTrace::compile(model, dt, duration);
-  auto b = systems::build_system_b(9);
-  fault::FaultInjector inj(9);
-  inj.converter_thermal_shutdown(Seconds{1800.0}, b->input(0), Seconds{600.0});
-  systems::BatchRunner runner(trace, duration, options);
-  runner.add_lane(*b, &inj);
-  (void)runner.run();
-
-  const auto& c = runner.soa_counters();
-  EXPECT_GT(c.thermal_latched, 0u);
-  EXPECT_GT(c.exit_not_resident, 0u);  // latched lanes re-enter scalar steps
+    return out;
+  };
+  const auto reference = timelines_at(1);
+  ASSERT_EQ(reference.size(), 7u);  // the document + 2 platforms x 3 seeds
+  for (const unsigned width : {2u, 8u})
+    EXPECT_EQ(reference, timelines_at(width)) << "lane_width=" << width;
 }
 
 TEST(LeakDetector, WarningsAgreeAcrossLaneWidths) {

@@ -771,53 +771,6 @@ TEST(CampaignTimelines, FileWriterRoundTrips) {
 }
 
 // ---------------------------------------------------------------------------
-// SoA kernel counters folded onto the campaign metrics
-// ---------------------------------------------------------------------------
-
-TEST(CampaignMetrics, SoaCountersSurfaceOnBatchedRuns) {
-  auto spec = small_grid(2);
-  spec.lane_width = 8;
-  Campaign c(std::move(spec));
-  c.run();
-  EXPECT_GT(c.lane_blocks(), 0u);
-  const auto snap = c.metrics();
-  const auto* steps = snap.find("campaign.soa.steps");
-  ASSERT_NE(steps, nullptr);
-  EXPECT_GT(steps->count, 0u);
-  const auto* lane_steps = snap.find("campaign.soa.lane_steps");
-  const auto* resident = snap.find("campaign.soa.resident_lane_steps");
-  const auto* due = snap.find("campaign.soa.exit_event_due");
-  const auto* not_resident = snap.find("campaign.soa.exit_not_resident");
-  ASSERT_NE(lane_steps, nullptr);
-  ASSERT_NE(resident, nullptr);
-  ASSERT_NE(due, nullptr);
-  ASSERT_NE(not_resident, nullptr);
-  EXPECT_EQ(resident->count + due->count + not_resident->count,
-            lane_steps->count);
-  const auto* fraction = snap.find("campaign.soa.resident_fraction");
-  ASSERT_NE(fraction, nullptr);
-  EXPECT_GT(fraction->value, 0.0);
-  EXPECT_LE(fraction->value, 1.0);
-  const auto* quiet = snap.find("campaign.soa.quiet_fraction");
-  ASSERT_NE(quiet, nullptr);
-  EXPECT_GE(quiet->value, 0.0);
-  EXPECT_LE(quiet->value, 1.0);
-}
-
-TEST(CampaignMetrics, SoaCounterRowsStayZeroOnTheLegacyPath) {
-  auto spec = small_grid(1);
-  spec.lane_width = 1;  // pin: the default honors MSEHSIM_LANE_WIDTH
-  Campaign c(std::move(spec));
-  c.run();
-  EXPECT_EQ(c.lane_blocks(), 0u);
-  const auto snap = c.metrics();
-  const auto* steps = snap.find("campaign.soa.steps");
-  ASSERT_NE(steps, nullptr);
-  EXPECT_EQ(steps->count, 0u);
-  EXPECT_DOUBLE_EQ(snap.find("campaign.soa.resident_fraction")->value, 0.0);
-}
-
-// ---------------------------------------------------------------------------
 // MSEHSIM_LANE_WIDTH parsing: the long-lived-process bugfix matrix
 // ---------------------------------------------------------------------------
 
@@ -884,7 +837,7 @@ TEST(CampaignEmptyGrid, MetricsRowsPresentAndPrometheusLintClean) {
   const auto* jobs = snap.find("campaign.jobs");
   ASSERT_NE(jobs, nullptr);
   EXPECT_EQ(jobs->count, 0u);
-  ASSERT_NE(snap.find("campaign.soa.steps"), nullptr);
+  ASSERT_NE(snap.find("campaign.lane_blocks"), nullptr);
   const auto csv = metrics_csv(c);
   EXPECT_NE(csv.find("campaign.jobs,0"), std::string::npos) << csv;
   // The daemon serves this snapshot through the lint-gated /metrics

@@ -671,8 +671,8 @@ TEST(RunTimeline, SchemaCoversStorageBackupAndEverySource) {
   const auto r = systems::run_platform(*a, env, Seconds{6.0 * 3600.0}, o);
   ASSERT_NE(r.timeline, nullptr);
   const auto& tl = *r.timeline;
-  for (const char* col :
-       {"soc", "stored_j", "unserved_j", "backup_stage", "soa_resident"})
+  EXPECT_EQ(tl.column_count(), 4 + 2 * a->input_count());
+  for (const char* col : {"soc", "stored_j", "unserved_j", "backup_stage"})
     EXPECT_NE(tl.find_column(col), obs::Timeline::npos) << col;
   for (std::size_t i = 0; i < a->input_count(); ++i) {
     const std::string base = "source[" + std::to_string(i) + "]";

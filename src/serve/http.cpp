@@ -361,7 +361,13 @@ void HttpServer::stop() {
     }
     return;
   }
-  if (impl_->stopping.exchange(true)) return;
+  {
+    // Set under the queue mutex: a worker between its predicate check and
+    // its wait holds the mutex, so it either sees the flag or is already
+    // waiting when the notify below fires — the wake-up cannot be lost.
+    const std::lock_guard<std::mutex> lock(impl_->mu);
+    if (impl_->stopping.exchange(true)) return;
+  }
 
   // Closing the listener wakes accept() with an error; the stopping flag
   // tells it (and the workers, once the queue drains) to exit. In-flight
@@ -373,7 +379,6 @@ void HttpServer::stop() {
   impl_->cv.notify_all();
 
   if (impl_->acceptor.joinable()) impl_->acceptor.join();
-  impl_->cv.notify_all();
   for (auto& w : impl_->workers)
     if (w.joinable()) w.join();
   impl_->workers.clear();

@@ -922,6 +922,30 @@ TEST(CampaignTraceCache, SharedCacheObjectAccumulatesAcrossCampaigns) {
   EXPECT_EQ(cache->stats().hits, 8u);
 }
 
+TEST(CampaignTraceCache, ResultsJsonIgnoresTheSharedCacheHistory) {
+  // results_json counts the timelines this campaign materialized. A shared
+  // cache's lifetime hit total would make two identical requests to one
+  // daemon answer with different bytes.
+  const auto dir = cache_dir("history");
+  auto cache = std::make_shared<env::TraceCache>(dir.string());
+  auto spec = small_grid(1);
+  spec.shared_trace_cache = cache;
+  Campaign cold(spec);
+  cold.run();  // warms the cache
+  Campaign first(spec);
+  first.run();
+  Campaign second(spec);
+  second.run();
+  EXPECT_EQ(cache->stats().hits, 8u);
+  EXPECT_EQ(first.trace_compiles(), 0u);
+  EXPECT_EQ(first.trace_cache_hits(), 4u);
+  const auto json = results_json(second);
+  EXPECT_EQ(json, results_json(first));
+  EXPECT_EQ(json, results_json(cold));
+  // small_grid: 2 scenarios x 2 seeds, one timeline each.
+  EXPECT_NE(json.find("\"trace_compiles\": 4,"), std::string::npos) << json;
+}
+
 TEST(CampaignTraceCache, TraceKeyOverridesScenarioNameInTheCacheKey) {
   // Two specs whose scenarios differ only in display name but share a
   // trace_key must share cache entries (the daemon keys on generator

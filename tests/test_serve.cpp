@@ -570,5 +570,20 @@ TEST(DaemonLifecycle, StopDrainsAndRestartRebinds) {
   reborn.stop();
 }
 
+TEST(DaemonLifecycle, StopRightAfterStartNeverHangs) {
+  // stop() racing the workers' first wait: a wake-up lost between a
+  // worker's predicate check and its wait would hang the join below, which
+  // the ctest timeout turns into a failure.
+  DaemonOptions options;
+  options.http.port = 0;
+  options.http.workers = 16;  // many first waits per start: a wide race
+  options.campaign_threads = 1;
+  for (int i = 0; i < 250; ++i) {
+    Daemon daemon(options);
+    daemon.start();
+    daemon.stop();
+  }
+}
+
 }  // namespace
 }  // namespace msehsim::serve

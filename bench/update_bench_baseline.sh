@@ -95,12 +95,6 @@ if batched:
     if 1 in batched and 8 in batched:
         record["campaign_lane_kernel_speedup"] = (
             batched[1]["real_time"] / batched[8]["real_time"])
-        # Same ratio, recorded under its own key from the SoA lane-state
-        # rework onward: width 1 runs the scalar per-lane body, width 8 runs
-        # the column-packed strided body, so this is the SoA win proper.
-        # (History rows without this key predate the SoA path.)
-        record["campaign_soa_speedup"] = (
-            batched[1]["real_time"] / batched[8]["real_time"])
 # Run-health timeline overhead: the default-cadence sampled day against its
 # in-process control. The PR gate is <= 3% (timeline_overhead is the ratio,
 # so the ceiling reads 1.03).
@@ -132,7 +126,7 @@ if grid is not None and warm is not None:
 if 1 in batched and 8 in batched:
     print(f"  BM_Campaign_Batched: width 1 {batched[1]['real_time']:.1f} ms "
           f"-> width 8 {batched[8]['real_time']:.1f} ms "
-          f"(campaign_soa_speedup "
+          f"(campaign_lane_kernel_speedup "
           f"{batched[1]['real_time'] / batched[8]['real_time']:.2f}x)")
 if obs_base is not None and obs_timeline is not None:
     print(f"  BM_SystemA_DayRun_Timeline: {obs_timeline['real_time']:.1f} ms "

@@ -384,7 +384,7 @@ TEST(RunTimeline, ByteIdenticalAcrossLaneWidthsWithSamplingOn) {
   expect_width_invariant(spec);
 }
 
-TEST(RunTimeline, FaultedGridByteIdenticalWithSamplingOn) {
+TEST(RunTimeline, FaultedSoaGridByteIdenticalWithSamplingOn) {
   // The sampler's periodic shares each lane's event queue with the fault
   // onsets; with both armed the batched lanes must still reproduce the
   // width-1 reference byte for byte.

@@ -323,8 +323,8 @@ void HttpServer::start() {
       if (fd >= 0) ::fcntl(fd, F_SETFD, FD_CLOEXEC);
       if (fd < 0) {
         if (errno == EINTR) continue;
-        // stop() closed the listener (EBADF/EINVAL) — or the kernel is out
-        // of descriptors, in which case accepting again immediately would
+        // stop() shut the listener down (EINVAL) — or the kernel is out of
+        // descriptors, in which case accepting again immediately would
         // spin; either way, bail if stopping, retry otherwise.
         if (impl_->stopping.load()) return;
         if (errno == EMFILE || errno == ENFILE) {
@@ -369,16 +369,19 @@ void HttpServer::stop() {
     if (impl_->stopping.exchange(true)) return;
   }
 
-  // Closing the listener wakes accept() with an error; the stopping flag
-  // tells it (and the workers, once the queue drains) to exit. In-flight
-  // and already-queued requests still complete — that is the graceful
-  // drain contract SIGTERM relies on.
+  // Shutting the listener down wakes accept() with an error (and fails
+  // every later accept() at once); the stopping flag tells the acceptor
+  // (and the workers, once the queue drains) to exit. In-flight and
+  // already-queued requests still complete — that is the graceful drain
+  // contract SIGTERM relies on. The descriptor is closed only after the
+  // acceptor has joined: it reads listen_fd, and a descriptor closed under
+  // it could be reused by another socket before its next accept().
   ::shutdown(impl_->listen_fd, SHUT_RDWR);
-  ::close(impl_->listen_fd);
-  impl_->listen_fd = -1;
   impl_->cv.notify_all();
 
   if (impl_->acceptor.joinable()) impl_->acceptor.join();
+  ::close(impl_->listen_fd);
+  impl_->listen_fd = -1;
   for (auto& w : impl_->workers)
     if (w.joinable()) w.join();
   impl_->workers.clear();

@@ -101,7 +101,8 @@ class Converter {
       case Topology::kBuckBoost: {
         const double conduction = params_.conduction_loss_fraction * in * in /
                                   params_.rated_power.value();
-        return Watts{std::max(0.0, params_.peak_efficiency * in - pq - conduction)};
+        const double out = params_.peak_efficiency * in - pq - conduction;
+        return Watts{std::max(0.0, out)};
       }
     }
     return Watts{0.0};

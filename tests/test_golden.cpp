@@ -94,8 +94,9 @@ CampaignSpec table_one_day(unsigned lane_width) {
   spec.lane_width = lane_width;
   for (const auto& s : kSystems) {
     const SystemId id = s.id;
-    spec.platforms.push_back(
-        {s.name, [id](std::uint64_t seed) { return systems::build(id, seed); }});
+    spec.platforms.push_back({s.name, [id](std::uint64_t seed) {
+                                return systems::build(id, seed);
+                              }});
   }
   Scenario outdoor;
   outdoor.name = "outdoor";

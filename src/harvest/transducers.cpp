@@ -1,7 +1,10 @@
 #include "harvest/transducers.hpp"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <numbers>
 
 #include "core/error.hpp"
@@ -15,6 +18,43 @@ namespace msehsim::harvest {
 // ---------------------------------------------------------------------------
 // PvPanel
 // ---------------------------------------------------------------------------
+
+namespace {
+
+// Bounded memo of a pure function of K doubles, keyed on their bit patterns
+// (so +0.0 and -0.0 are different keys, and a hit returns exactly what a
+// fresh evaluation would). N entries, replaced round-robin. Instances are
+// thread_local: panels with identical curves on one thread share solves (a
+// platform's twin arrays, the same panel on several platforms stepping the
+// same trace sample), and no state crosses threads.
+template <std::size_t N, std::size_t K, typename Value>
+class BitKeyMemo {
+ public:
+  using Key = std::array<std::uint64_t, K>;
+
+  [[nodiscard]] const Value* find(const Key& key) const {
+    for (std::size_t i = 0; i < used_; ++i)
+      if (keys_[i] == key) return &values_[i];
+    return nullptr;
+  }
+
+  void insert(const Key& key, const Value& value) {
+    keys_[next_] = key;
+    values_[next_] = value;
+    next_ = (next_ + 1) % N;
+    used_ = std::max(used_, next_ == 0 ? N : next_);
+  }
+
+ private:
+  std::array<Key, N> keys_{};
+  std::array<Value, N> values_{};
+  std::size_t next_{0};
+  std::size_t used_{0};
+};
+
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+}  // namespace
 
 PvPanel::PvPanel(std::string name, Params params)
     : name_(std::move(name)), params_(params) {
@@ -45,9 +85,17 @@ void PvPanel::do_set_conditions(const env::AmbientConditions& c) {
 
 Amps PvPanel::current_at(Volts v) const {
   if (v.value() < 0.0) return Amps{0.0};
-  const double diode =
-      saturation_current_.value() * std::expm1(v.value() / thermal_voltage());
-  return Amps{std::max(0.0, photo_current_.value() - diode)};
+  // The result depends on nothing but these four inputs (see BitKeyMemo).
+  const double vt = thermal_voltage();
+  const BitKeyMemo<8, 4, double>::Key key{
+      bits(v.value()), bits(photo_current_.value()),
+      bits(saturation_current_.value()), bits(vt)};
+  thread_local BitKeyMemo<8, 4, double> memo;
+  if (const double* hit = memo.find(key)) return Amps{*hit};
+  const double diode = saturation_current_.value() * std::expm1(v.value() / vt);
+  const double current = std::max(0.0, photo_current_.value() - diode);
+  memo.insert(key, current);
+  return Amps{current};
 }
 
 Volts PvPanel::open_circuit_voltage() const {
@@ -65,7 +113,17 @@ OperatingPoint PvPanel::compute_mpp() const {
   // precision in a handful of iterations — versus 80 golden-section probes
   // of the exp-heavy curve, which is what made the MPP-yield accounting the
   // hottest path of the whole simulator.
+  //
+  // The solve reads only the photo current, the saturation current and the
+  // thermal voltage, so it is memoized on their bit patterns (BitKeyMemo).
+  // This sits below Harvester::recompute_mpp: the per-object MPP cache and
+  // its hit/recompute counters are unaffected.
   const double vt = thermal_voltage();
+  const BitKeyMemo<4, 3, OperatingPoint>::Key key{
+      bits(photo_current_.value()), bits(saturation_current_.value()),
+      bits(vt)};
+  thread_local BitKeyMemo<4, 3, OperatingPoint> memo;
+  if (const OperatingPoint* hit = memo.find(key)) return *hit;
   const double ln_k =
       std::log1p(photo_current_.value() / saturation_current_.value());
   double x = ln_k;
@@ -80,6 +138,7 @@ OperatingPoint PvPanel::compute_mpp() const {
   mpp.v = Volts{vt * x};
   mpp.i = current_at(mpp.v);
   mpp.p = mpp.v * mpp.i;
+  memo.insert(key, mpp);
   return mpp;
 }
 

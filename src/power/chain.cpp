@@ -53,7 +53,7 @@ OutputChain::OutputChain(Converter converter, Volts rail_voltage)
   require_spec(rail_voltage_.value() > 0.0, "rail voltage must be > 0");
 }
 
-Watts OutputChain::required_bus_power(Watts load_power, Volts bus_voltage) const {
+Watts OutputChain::solve_bus_power(Watts load_power, Volts bus_voltage) const {
   if (!rail_available(bus_voltage)) return Watts{0.0};
   return converter_.required_input(load_power, bus_voltage, rail_voltage_);
 }

@@ -7,6 +7,7 @@
 #pragma once
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -217,7 +218,25 @@ class OutputChain {
   /// delivers @p load_power. Returns 0 if conversion is infeasible
   /// (e.g. bus collapsed below the LDO dropout) — the caller treats that as
   /// a brownout.
-  [[nodiscard]] Watts required_bus_power(Watts load_power, Volts bus_voltage) const;
+  ///
+  /// Memoized on the last call: the answer is a pure function of
+  /// (load_power, bus_voltage) for a fixed converter and rail, so a call
+  /// whose two inputs have the same bit patterns as the previous call's
+  /// returns the stored result, identical to a fresh solve. The memo is
+  /// plain mutable state: like a Harvester, an OutputChain belongs to one
+  /// simulation at a time.
+  [[nodiscard]] Watts required_bus_power(Watts load_power,
+                                         Volts bus_voltage) const {
+    const auto load_key = std::bit_cast<std::uint64_t>(load_power.value());
+    const auto bus_key = std::bit_cast<std::uint64_t>(bus_voltage.value());
+    if (!memo_valid_ || load_key != memo_load_ || bus_key != memo_bus_) {
+      memo_power_ = solve_bus_power(load_power, bus_voltage);
+      memo_load_ = load_key;
+      memo_bus_ = bus_key;
+      memo_valid_ = true;
+    }
+    return memo_power_;
+  }
 
   /// True if the rail can be produced from @p bus_voltage at all.
   [[nodiscard]] bool rail_available(Volts bus_voltage) const;
@@ -226,8 +245,15 @@ class OutputChain {
   [[nodiscard]] const Converter& converter() const { return converter_; }
 
  private:
+  /// Uncached body of required_bus_power().
+  [[nodiscard]] Watts solve_bus_power(Watts load_power, Volts bus_voltage) const;
+
   Converter converter_;
   Volts rail_voltage_;
+  mutable bool memo_valid_{false};
+  mutable std::uint64_t memo_load_{0};
+  mutable std::uint64_t memo_bus_{0};
+  mutable Watts memo_power_{0.0};
 };
 
 }  // namespace msehsim::power

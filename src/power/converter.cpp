@@ -33,20 +33,65 @@ Converter::Converter(std::string name, Params params)
                "converter conduction loss fraction must be in [0,1)");
 }
 
+namespace {
+
+// The fixed point behind required_input: transfer() is monotone increasing in
+// input, so step the input by the output error scaled by the peak efficiency.
+// @p forward is transfer() for one topology with can_convert already known
+// true and every vin/vout-only term precomputed; the loop performs the same
+// floating-point operations in the same order as iterating transfer() itself.
+// A gain of exactly 1.0 skips the division, which is exact: x / 1.0 == x.
+template <typename Forward>
+double invert_transfer(double output, double input, double gain,
+                       Forward forward) {
+  for (int i = 0; i < 24; ++i) {
+    const double got = input <= 0.0 ? 0.0 : forward(input);
+    const double error = output - got;
+    if (std::fabs(error) < 1e-12) break;
+    input += gain == 1.0 ? error : error / gain;
+    input = std::max(input, 0.0);
+  }
+  return input;
+}
+
+}  // namespace
+
 Watts Converter::required_input(Watts output, Volts vin, Volts vout) const {
   if (!can_convert(vin, vout)) return Watts{0.0};
   const Watts floor = quiescent_power(vin);
   if (output.value() <= 0.0) return floor;
-  // transfer() is monotone increasing in input; invert by fixed point.
-  double input = output.value() / params_.peak_efficiency + floor.value();
-  for (int i = 0; i < 24; ++i) {
-    const double got = transfer(Watts{input}, vin, vout).value();
-    const double error = output.value() - got;
-    if (std::fabs(error) < 1e-12) break;
-    input += error / std::max(0.1, params_.peak_efficiency);
-    input = std::max(input, 0.0);
+  const double want = output.value();
+  const double pq = floor.value();
+  const double peak = params_.peak_efficiency;
+  const double start = want / peak + pq;
+  const double gain = std::max(0.1, peak);
+  switch (params_.topology) {
+    case Topology::kDiode: {
+      const double ratio =
+          vout.value() / (vout.value() + params_.diode_drop.value());
+      return Watts{invert_transfer(want, start, gain, [ratio](double in) {
+        return std::max(0.0, in * ratio);
+      })};
+    }
+    case Topology::kLdo: {
+      const double ratio = std::min(1.0, vout.value() / vin.value());
+      return Watts{invert_transfer(want, start, gain, [pq, ratio](double in) {
+        return std::max(0.0, (in - pq) * ratio);
+      })};
+    }
+    case Topology::kBuck:
+    case Topology::kBoost:
+    case Topology::kBuckBoost: {
+      const double loss = params_.conduction_loss_fraction;
+      const double rated = params_.rated_power.value();
+      return Watts{invert_transfer(
+          want, start, gain, [peak, pq, loss, rated](double in) {
+            const double conduction = loss * in * in / rated;
+            return std::max(0.0, peak * in - pq - conduction);
+          })};
+    }
   }
-  return Watts{input};
+  return Watts{0.0};
 }
 
 double Converter::efficiency(Watts input, Volts vin, Volts vout) const {

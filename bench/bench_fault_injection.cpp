@@ -8,9 +8,10 @@
 //
 // The three configurations run as one Campaign (a platform-variant axis of
 // three), and the bit-identical-report guarantee is demonstrated the hard
-// way: the whole campaign is replayed on one worker thread and with the MPP
-// cache disabled, and every job's to_string(RunResult) must match byte for
-// byte — determinism across scheduling AND across the caching layer.
+// way: the whole campaign is replayed on one worker thread, and every job's
+// to_string(RunResult) must match byte for byte — determinism across
+// scheduling. (The MPP cache has no off switch; test_harvesters and
+// test_campaign compare cached points against freshly built harvesters.)
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -20,7 +21,6 @@
 #include "core/table.hpp"
 #include "env/environment.hpp"
 #include "fault/injector.hpp"
-#include "harvest/harvester.hpp"
 #include "storage/fuel_cell.hpp"
 #include "systems/catalog.hpp"
 #include "systems/runner.hpp"
@@ -133,26 +133,16 @@ int main() {
   }
   std::printf("%s\n", table.render().c_str());
 
-  // Determinism, axis 1: same campaign on a single worker thread.
+  // Determinism: same campaign on a single worker thread.
   campaign::Campaign serial(make_spec(1));
   serial.run();
 
-  // Determinism, axis 2: same campaign with the MPP cache disabled, so the
-  // hot-path memoization is provably invisible to every reported byte.
-  harvest::Harvester::set_mpp_cache_enabled(false);
-  campaign::Campaign uncached(make_spec(1));
-  uncached.run();
-  harvest::Harvester::set_mpp_cache_enabled(true);
-
   const auto a = reports(parallel);
   const auto b = reports(serial);
-  const auto c = reports(uncached);
   const bool threads_identical = a == b;
-  const bool cache_identical = a == c;
-  std::printf("replay determinism: N-thread vs 1-thread reports %s, "
-              "cached vs uncached reports %s (%zu jobs, %zu bytes each)\n",
-              threads_identical ? "bit-identical" : "DIVERGED",
-              cache_identical ? "bit-identical" : "DIVERGED", a.size(),
+  std::printf("replay determinism: N-thread vs 1-thread reports %s "
+              "(%zu jobs, %zu bytes each)\n",
+              threads_identical ? "bit-identical" : "DIVERGED", a.size(),
               a.empty() ? 0 : a.front().size());
 
   const auto& detail = parallel.at(2, 0, 0).result;
@@ -165,5 +155,5 @@ int main() {
       static_cast<unsigned long long>(detail.faults.bus_fault_hits),
       static_cast<unsigned long long>(detail.faults.retry_retries),
       static_cast<unsigned long long>(detail.faults.retry_give_ups));
-  return threads_identical && cache_identical ? 0 : 1;
+  return threads_identical ? 0 : 1;
 }

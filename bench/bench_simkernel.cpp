@@ -58,20 +58,6 @@ void BM_PvMppOracle(benchmark::State& state) {
 }
 BENCHMARK(BM_PvMppOracle);
 
-void BM_PvMppRecompute(benchmark::State& state) {
-  // Same query with the conditions-keyed cache disabled: the true cost of
-  // one closed-form MPP solve, and the per-call saving the cache buys.
-  harvest::PvPanel pv("pv", {});
-  env::AmbientConditions c;
-  c.solar_irradiance = WattsPerSquareMeter{800.0};
-  pv.set_conditions(c);
-  harvest::Harvester::set_mpp_cache_enabled(false);
-  for (auto _ : state) benchmark::DoNotOptimize(pv.maximum_power_point());
-  harvest::Harvester::set_mpp_cache_enabled(true);
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
-}
-BENCHMARK(BM_PvMppRecompute);
-
 void BM_SupercapChargePacket(benchmark::State& state) {
   storage::Supercapacitor::Params p;
   p.main_capacitance = Farads{25.0};

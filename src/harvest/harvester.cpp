@@ -1,25 +1,9 @@
 #include "harvest/harvester.hpp"
 
-#include <atomic>
-
 #include "core/solve.hpp"
 #include "obs/trace.hpp"
 
 namespace msehsim::harvest {
-
-namespace {
-// Relaxed is enough: the flag is configuration, set before simulations run,
-// and only read from campaign worker threads.
-std::atomic<bool> g_mpp_cache_enabled{true};
-}  // namespace
-
-void Harvester::set_mpp_cache_enabled(bool enabled) {
-  g_mpp_cache_enabled.store(enabled, std::memory_order_relaxed);
-}
-
-bool Harvester::mpp_cache_enabled() {
-  return g_mpp_cache_enabled.load(std::memory_order_relaxed);
-}
 
 std::string_view to_string(HarvesterKind kind) {
   switch (kind) {

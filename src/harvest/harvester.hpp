@@ -111,7 +111,7 @@ class Harvester {
   /// flag check instead of a function call, and through a final-subclass
   /// pointer the compute_mpp miss path becomes a direct call.
   [[nodiscard]] OperatingPoint maximum_power_point() const {
-    if (mpp_cache_enabled() && mpp_valid_) {
+    if (mpp_valid_) {
       ++mpp_hits_;
       return mpp_cache_;
     }
@@ -145,19 +145,11 @@ class Harvester {
   /// MPP on changes their conditions key cannot see.
   [[nodiscard]] std::uint64_t curve_revision() const { return curve_revision_; }
 
-  // ---- MPP cache instrumentation and control ------------------------------
+  // ---- MPP cache instrumentation ------------------------------------------
 
   /// Times maximum_power_point() was answered from the cache / recomputed.
   [[nodiscard]] std::uint64_t mpp_cache_hits() const { return mpp_hits_; }
   [[nodiscard]] std::uint64_t mpp_recomputes() const { return mpp_recomputes_; }
-
-  /// Process-wide cache kill-switch for determinism audits: with the cache
-  /// disabled every maximum_power_point() call recomputes. Results must be
-  /// byte-identical either way (the fault layer's replay contract). Toggle
-  /// only while no simulation is running; the flag is read (not written) by
-  /// concurrent campaign workers.
-  static void set_mpp_cache_enabled(bool enabled);
-  [[nodiscard]] static bool mpp_cache_enabled();
 
  protected:
   /// Subclass hook: latch whatever internal curve state @p c implies.
@@ -183,13 +175,10 @@ class Harvester {
   /// site devirtualizes (and typically inlines) the compute_mpp solve too.
   [[nodiscard]] OperatingPoint recompute_mpp() const {
     OBS_SPAN_SAMPLED("harvest.mpp_solve", "harvest");
-    const OperatingPoint mpp = compute_mpp();
+    mpp_cache_ = compute_mpp();
+    mpp_valid_ = true;
     ++mpp_recomputes_;
-    if (mpp_cache_enabled()) {
-      mpp_cache_ = mpp;
-      mpp_valid_ = true;
-    }
-    return mpp;
+    return mpp_cache_;
   }
 
   mutable OperatingPoint mpp_cache_;

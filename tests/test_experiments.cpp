@@ -45,7 +45,7 @@ constexpr Experiment kExperiments[] = {
     {"E12", "bench_seasonal", 0x98a6640db2ab1796ULL},
     {"E13", "bench_wakeup_radio", 0x4e2f477ef2bc60e6ULL},
     {"E14", "bench_combiner", 0x9c4785908c18edcbULL},
-    {"E15", "bench_fault_injection", 0x9b9d5dc6bc9f0d2aULL},
+    {"E15", "bench_fault_injection", 0x1d2a61616fb98e96ULL},
 };
 
 // Names the parameter in test listings by its binary (stable across builds,

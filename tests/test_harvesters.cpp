@@ -2,7 +2,9 @@
 // physical-invariant sweeps.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <functional>
 #include <limits>
 #include <memory>
@@ -527,28 +529,30 @@ TEST(MppCache, AnyChangedConditionsFieldRecomputes) {
   }
 }
 
-TEST(MppCache, DisabledCacheRecomputesEveryCallWithIdenticalResults) {
+void expect_same_bits(const OperatingPoint& a, const OperatingPoint& b) {
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(a.v.value()),
+            std::bit_cast<std::uint64_t>(b.v.value()));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(a.i.value()),
+            std::bit_cast<std::uint64_t>(b.i.value()));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(a.p.value()),
+            std::bit_cast<std::uint64_t>(b.p.value()));
+}
+
+TEST(MppCache, CachedPointMatchesAFreshPanel) {
+  // The cache has no off switch: its contract is that every answer it gives
+  // equals, bit for bit, what a panel built fresh under the same conditions
+  // computes. Repeated conditions hit; each change recomputes once.
   PvPanel cached("pv", PvPanel::Params{});
-  PvPanel uncached("pv", PvPanel::Params{});
-  cached.set_conditions(sunny());
-  uncached.set_conditions(sunny());
-
-  const auto hot = cached.maximum_power_point();
-  (void)cached.maximum_power_point();
-
-  Harvester::set_mpp_cache_enabled(false);
-  const auto cold1 = uncached.maximum_power_point();
-  const auto cold2 = uncached.maximum_power_point();
-  Harvester::set_mpp_cache_enabled(true);
-
-  EXPECT_EQ(uncached.mpp_recomputes(), 2u);
-  EXPECT_EQ(uncached.mpp_cache_hits(), 0u);
-  // Bit-identical: the cache must be invisible in every reported value.
-  EXPECT_EQ(cold1.v.value(), hot.v.value());
-  EXPECT_EQ(cold1.i.value(), hot.i.value());
-  EXPECT_EQ(cold1.p.value(), hot.p.value());
-  EXPECT_EQ(cold2.v.value(), hot.v.value());
-  EXPECT_EQ(cold2.p.value(), hot.p.value());
+  for (const double g : {800.0, 800.0, 120.0, 800.0, 0.0, 120.0, 120.0}) {
+    cached.set_conditions(sunny(g));
+    PvPanel fresh("pv", PvPanel::Params{});
+    fresh.set_conditions(sunny(g));
+    const OperatingPoint want = fresh.maximum_power_point();
+    expect_same_bits(cached.maximum_power_point(), want);
+    expect_same_bits(cached.maximum_power_point(), want);
+  }
+  EXPECT_EQ(cached.mpp_recomputes(), 5u);
+  EXPECT_EQ(cached.mpp_cache_hits(), 9u);
 }
 
 TEST(MppCache, CachesAcrossAllTransducerKinds) {

@@ -157,10 +157,13 @@ TEST(Campaign, FaultedRunsByteIdenticalAcrossThreadCounts) {
 TEST(Campaign, CachedMppMatchesFreshHarvestersUnderFaults) {
   // The per-object MPP cache has no off switch; its contract is that every
   // cached point equals a fresh solve. Drive the faulted grid's platform by
-  // hand through the same fault timeline (intermittent from 600 s, healed at
-  // 3600 s, stuck short from 5400 s) and, after every step, compare the
-  // wrapper's cached MPP — the chain already queried it during the step —
-  // against a panel built fresh for that step under the same conditions.
+  // hand through its fault timeline (intermittent from 600 s, healed at
+  // 3600 s, stuck short from 5400 s), shifted to midday so the panel is lit,
+  // and after every step compare the wrapper's cached MPP — the chain
+  // already queried it during the step — against a panel built fresh for
+  // that step under the same conditions. Each ambient sample is held for
+  // four steps, so the cache also answers across steps and must notice
+  // fault flips under unchanged conditions.
   auto platform = mini_platform();
   power::InputChain& chain = platform->input(0);
   auto wrapper = std::make_unique<fault::FaultyHarvester>(
@@ -171,15 +174,18 @@ TEST(Campaign, CachedMppMatchesFreshHarvestersUnderFaults) {
   chain.replace_harvester(std::move(wrapper));
   env::Environment environment = env::Environment::outdoor(3);
   const Seconds dt{5.0};
+  env::AmbientConditions c;
+  int lit_steps = 0;
   for (int k = 0; k < 1440; ++k) {
-    const Seconds now{k * dt.value()};
+    const Seconds now{43200.0 + k * dt.value()};
     if (k == 120) faulty.set_intermittent(0.5);
     if (k == 720) faulty.heal();
     if (k == 1080) faulty.stick_short();
-    const env::AmbientConditions c = environment.advance(now, dt);
+    if (k % 4 == 0) c = environment.advance(now, dt * 4.0);
     platform->step(c, now, dt);
     harvest::PvPanel fresh("pv", harvest::PvPanel::Params{});
     fresh.set_conditions(c);
+    if (fresh.maximum_power_point().p.value() > 0.0) ++lit_steps;
     const harvest::OperatingPoint want = faulty.producing()
                                              ? fresh.maximum_power_point()
                                              : harvest::OperatingPoint{};
@@ -194,14 +200,15 @@ TEST(Campaign, CachedMppMatchesFreshHarvestersUnderFaults) {
               std::bit_cast<std::uint64_t>(want.p.value()))
         << "step " << k;
   }
+  EXPECT_EQ(lit_steps, 1440);
   EXPECT_GT(faulty.faulted_steps(), 0u);
   EXPECT_GT(faulty.mpp_cache_hits(), 0u);
 
   // In the campaign itself the cache serves every job; the reports' thread
   // invariance is FaultedRunsByteIdenticalAcrossThreadCounts.
-  Campaign c(faulted_grid(2));
-  c.run();
-  for (const auto& job : c.results()) {
+  Campaign campaign(faulted_grid(2));
+  campaign.run();
+  for (const auto& job : campaign.results()) {
     EXPECT_GT(job.result.mpp_cache_hits, 0u);
     EXPECT_GT(job.result.mpp_recomputes, 0u);
   }

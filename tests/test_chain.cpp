@@ -3,10 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <vector>
 
 #include "core/error.hpp"
 #include "harvest/transducers.hpp"
 #include "power/chain.hpp"
+#include "reference_inverse.hpp"
 
 namespace msehsim::power {
 namespace {
@@ -191,6 +193,50 @@ TEST(OutputChain, RequiredBusPowerCoversLoadPlusLosses) {
 TEST(OutputChain, InfeasibleRailNeedsZero) {
   OutputChain out(Converter::nano_ldo("ldo"), Volts{3.0});
   EXPECT_DOUBLE_EQ(out.required_bus_power(Watts{1e-3}, Volts{1.0}).value(), 0.0);
+}
+
+/// What required_bus_power returned before it was memoized.
+double reference_bus_power(const OutputChain& out, double load, double bus) {
+  if (!out.rail_available(Volts{bus})) return 0.0;
+  return testing::reference_required_input(out.converter(), Watts{load},
+                                           Volts{bus}, out.rail_voltage())
+      .value();
+}
+
+TEST(OutputChain, MemoizedBusPowerMatchesAFreshSolveBitForBit) {
+  // The one-entry memo is keyed on the bit patterns of (load, bus voltage).
+  // Feed each chain repeated keys (hits), alternating keys (a miss every
+  // call), keys differing only in the sign of zero, and a sweep, and compare
+  // every answer against the unmemoized transfer() fixed point.
+  using testing::bits;
+  struct Key {
+    double load;
+    double bus;
+  };
+  std::vector<Key> keys = {
+      {1e-3, 3.6}, {1e-3, 3.6}, {1e-3, 3.6},                // repeated
+      {1e-3, 3.6}, {2e-3, 3.6}, {1e-3, 3.6}, {2e-3, 3.6},   // alternating load
+      {1e-3, 3.6}, {1e-3, 4.1}, {1e-3, 3.6}, {1e-3, 4.1},   // alternating bus
+      {0.0, 3.6},  {-0.0, 3.6}, {0.0, 3.6},  {-0.0, 3.6},   // signed zero load
+      {1e-3, 0.0}, {1e-3, -0.0}, {1e-3, 0.0}, {1e-3, -0.0}, // signed zero bus
+  };
+  for (const double load : testing::sweep_outputs())
+    for (const double bus : testing::sweep_voltages()) {
+      keys.push_back({load, bus});
+      keys.push_back({load, bus});
+    }
+  for (const Converter& c : testing::sweep_converters())
+    for (const double rail : {1.8, 3.0, 3.3, 5.0}) {
+      const OutputChain out(c, Volts{rail});
+      for (const Key& k : keys) {
+        const double want = reference_bus_power(out, k.load, k.bus);
+        const double got =
+            out.required_bus_power(Watts{k.load}, Volts{k.bus}).value();
+        ASSERT_EQ(bits(got), bits(want))
+            << c.name() << " rail=" << rail << " load=" << k.load
+            << " bus=" << k.bus;
+      }
+    }
 }
 
 TEST(OutputChain, RejectsNonPositiveRail) {

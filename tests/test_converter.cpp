@@ -3,6 +3,7 @@
 
 #include "core/error.hpp"
 #include "power/converter.hpp"
+#include "reference_inverse.hpp"
 
 namespace msehsim::power {
 namespace {
@@ -117,6 +118,27 @@ TEST(Converter, InfeasibleTransferIsZero) {
   EXPECT_DOUBLE_EQ(c.transfer(Watts{1e-3}, Volts{4.0}, Volts{3.0}).value(), 0.0);
   EXPECT_DOUBLE_EQ(c.required_input(Watts{1e-3}, Volts{4.0}, Volts{3.0}).value(),
                    0.0);
+}
+
+TEST(Converter, RequiredInputMatchesTheTransferFixedPointBitForBit) {
+  // The per-topology inverse hoists the loop invariants out of transfer()
+  // but must keep every floating-point operation, so it equals the original
+  // transfer()-iterating fixed point exactly, on every topology, preset,
+  // signed zero and non-finite demand.
+  using namespace testing;
+  for (const Converter& c : sweep_converters())
+    for (const double out : sweep_outputs())
+      for (const double vin : sweep_voltages())
+        for (const double vout : sweep_voltages()) {
+          const double want =
+              reference_required_input(c, Watts{out}, Volts{vin}, Volts{vout})
+                  .value();
+          const double got =
+              c.required_input(Watts{out}, Volts{vin}, Volts{vout}).value();
+          ASSERT_EQ(bits(got), bits(want))
+              << c.name() << " out=" << out << " vin=" << vin
+              << " vout=" << vout << ": " << got << " vs " << want;
+        }
 }
 
 TEST(Converter, RejectsBadSpecs) {

@@ -6,8 +6,10 @@
 #include <cmath>
 #include <cstdint>
 #include <functional>
+#include <latch>
 #include <limits>
 #include <memory>
+#include <thread>
 #include <vector>
 
 #include "core/error.hpp"
@@ -593,6 +595,143 @@ double golden_shifted_power(const Harvester& h, double s) {
       [&h, s](double u) { return (u - s) * h.current_at(Volts{u}).value(); }, s,
       voc);
   return (u_star - s) * h.current_at(Volts{u_star}).value();
+}
+
+// ---- PV curve memo ---------------------------------------------------------
+// PvPanel::compute_mpp and current_at share bounded thread_local memos keyed
+// on the bit patterns of every input they read, so identical panels on one
+// thread solve each curve once. Every answer must equal a fresh solve.
+
+/// Panels with identical curves (0/1 and 3/4) and five distinct ones, more
+/// than the MPP memo holds, so the memo both hits and evicts.
+std::vector<PvPanel::Params> memo_panel_params() {
+  PvPanel::Params outdoor;
+  PvPanel::Params bigger = outdoor;
+  bigger.isc_stc = Amps{0.120};
+  PvPanel::Params indoor;
+  indoor.indoor = true;
+  PvPanel::Params dimmer = indoor;
+  dimmer.indoor_derating = 0.4;
+  PvPanel::Params cells = outdoor;
+  cells.series_cells = 4;
+  cells.diode_ideality = 1.2;
+  return {outdoor, outdoor, bigger, indoor, indoor, dimmer, cells};
+}
+
+env::AmbientConditions lit(double level) {
+  env::AmbientConditions c;
+  c.solar_irradiance = WattsPerSquareMeter{level};
+  c.illuminance = Lux{level * 100.0};
+  return c;
+}
+
+constexpr double kLightLevels[] = {800.0, 800.0, 0.0, 120.0, 800.0,
+                                   350.5, 120.0, 1000.0, 800.0};
+
+/// The voltages a sample probes: signed zeros, a negative voltage, the knee
+/// (twice) and around the open-circuit voltage.
+std::vector<double> probe_voltages(double v_mpp, double voc) {
+  return {-0.1, -0.0, 0.0, 0.5 * v_mpp, v_mpp, v_mpp,
+          0.9 * voc, voc, 1.1 * voc};
+}
+
+struct CurveSample {
+  std::uint64_t v, i, p;
+  std::vector<std::uint64_t> currents;
+  bool operator==(const CurveSample&) const = default;
+};
+
+/// Steps every panel through kLightLevels on the calling thread, querying
+/// the panels interleaved (forward, then backward) so identical panels
+/// share memo entries and distinct ones evict them.
+std::vector<CurveSample> interleaved_samples() {
+  std::vector<PvPanel> panels;
+  for (const auto& p : memo_panel_params()) panels.emplace_back("pv", p);
+  std::vector<CurveSample> out;
+  for (const double level : kLightLevels) {
+    for (auto& pv : panels) pv.set_conditions(lit(level));
+    for (int pass = 0; pass < 2; ++pass)
+      for (std::size_t k = 0; k < panels.size(); ++k) {
+        const PvPanel& pv = panels[pass == 0 ? k : panels.size() - 1 - k];
+        const OperatingPoint mpp = pv.maximum_power_point();
+        CurveSample s{std::bit_cast<std::uint64_t>(mpp.v.value()),
+                      std::bit_cast<std::uint64_t>(mpp.i.value()),
+                      std::bit_cast<std::uint64_t>(mpp.p.value()),
+                      {}};
+        for (const double v : probe_voltages(
+                 mpp.v.value(), pv.open_circuit_voltage().value()))
+          s.currents.push_back(
+              std::bit_cast<std::uint64_t>(pv.current_at(Volts{v}).value()));
+        out.push_back(std::move(s));
+      }
+  }
+  return out;
+}
+
+/// Runs @p f on a new thread, whose thread_local memos are empty.
+template <typename F>
+auto on_fresh_thread(F f) {
+  decltype(f()) result{};
+  std::thread([&] { result = f(); }).join();
+  return result;
+}
+
+/// The samples interleaved_samples() must produce, each query answered by a
+/// panel built for it alone on a thread that has never solved a curve — so
+/// neither the per-object MPP cache nor the curve memos can answer.
+std::vector<CurveSample> fresh_samples() {
+  const auto params = memo_panel_params();
+  std::vector<CurveSample> out;
+  for (const double level : kLightLevels) {
+    const auto fresh = [&](std::size_t k) {
+      PvPanel pv("pv", params[k]);
+      pv.set_conditions(lit(level));
+      return pv;
+    };
+    for (int pass = 0; pass < 2; ++pass)
+      for (std::size_t n = 0; n < params.size(); ++n) {
+        const std::size_t k = pass == 0 ? n : params.size() - 1 - n;
+        const OperatingPoint mpp =
+            on_fresh_thread([&] { return fresh(k).maximum_power_point(); });
+        const double voc = fresh(k).open_circuit_voltage().value();
+        CurveSample s{std::bit_cast<std::uint64_t>(mpp.v.value()),
+                      std::bit_cast<std::uint64_t>(mpp.i.value()),
+                      std::bit_cast<std::uint64_t>(mpp.p.value()),
+                      {}};
+        for (const double v : probe_voltages(mpp.v.value(), voc))
+          s.currents.push_back(on_fresh_thread([&] {
+            return std::bit_cast<std::uint64_t>(
+                fresh(k).current_at(Volts{v}).value());
+          }));
+        out.push_back(std::move(s));
+      }
+  }
+  return out;
+}
+
+TEST(PvCurveMemo, InterleavedPanelsMatchFreshPanelsBitForBit) {
+  const std::vector<CurveSample> want = fresh_samples();
+  // Twice on this thread: the second run starts from a warm memo.
+  EXPECT_EQ(interleaved_samples(), want);
+  EXPECT_EQ(interleaved_samples(), want);
+}
+
+TEST(PvCurveMemo, TwoThreadsAtOnceMatchFreshPanelsBitForBit) {
+  const std::vector<CurveSample> want = fresh_samples();
+  std::latch start(2);
+  std::vector<CurveSample> a, b;
+  std::thread ta([&] {
+    start.arrive_and_wait();
+    a = interleaved_samples();
+  });
+  std::thread tb([&] {
+    start.arrive_and_wait();
+    b = interleaved_samples();
+  });
+  ta.join();
+  tb.join();
+  EXPECT_EQ(a, want);
+  EXPECT_EQ(b, want);
 }
 
 TEST(ShiftedMpp, PvNewtonMatchesGoldenSearch) {

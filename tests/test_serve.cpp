@@ -12,6 +12,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstring>
 #include <filesystem>
 #include <map>
@@ -311,19 +312,18 @@ struct ClientResponse {
   std::string body;
 };
 
-/// One blocking HTTP/1.1 exchange against 127.0.0.1:@p port. The server
-/// always closes, so "read to EOF" frames the response.
-ClientResponse http_exchange(std::uint16_t port, const std::string& raw) {
-  ClientResponse out;
+/// Connects to 127.0.0.1:@p port and sends @p raw; returns the socket, or
+/// -1 if the connection failed.
+int connect_and_send(std::uint16_t port, const std::string& raw) {
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return out;
+  if (fd < 0) return -1;
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
   addr.sin_port = htons(port);
   ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
   if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
     ::close(fd);
-    return out;
+    return -1;
   }
   std::size_t sent = 0;
   while (sent < raw.size()) {
@@ -332,6 +332,14 @@ ClientResponse http_exchange(std::uint16_t port, const std::string& raw) {
     if (n <= 0) break;
     sent += static_cast<std::size_t>(n);
   }
+  return fd;
+}
+
+/// Reads @p fd to EOF, closes it, and parses the response. The server
+/// always closes, so "read to EOF" frames the response.
+ClientResponse read_response(int fd) {
+  ClientResponse out;
+  if (fd < 0) return out;
   std::string wire;
   char chunk[4096];
   for (;;) {
@@ -366,6 +374,11 @@ ClientResponse http_exchange(std::uint16_t port, const std::string& raw) {
     line_start = line_end + 2;
   }
   return out;
+}
+
+/// One blocking HTTP/1.1 exchange against 127.0.0.1:@p port.
+ClientResponse http_exchange(std::uint16_t port, const std::string& raw) {
+  return read_response(connect_and_send(port, raw));
 }
 
 ClientResponse http_post(std::uint16_t port, const std::string& target,
@@ -550,6 +563,42 @@ TEST_F(DaemonFixture, ScrapeHelperMatchesTheEndpointAndLintsClean) {
         "msehsim_serve_result_cache_misses", "msehsim_serve_request_latency_s",
         "msehsim_campaign_jobs"})
     EXPECT_NE(direct.find(family), std::string::npos) << family;
+}
+
+TEST_F(DaemonFixture, StalledClientsGet408WhileOthersAreServed) {
+  // One client stalls mid-header, another sends less body than its
+  // Content-Length promised. Each holds a worker until recv_timeout_ms and
+  // is then answered 408; meanwhile a well-formed request on a third
+  // connection is served by the remaining worker.
+  constexpr std::chrono::milliseconds kTimeout{1000};
+  auto options = test_options("stalled");
+  options.http.recv_timeout_ms = static_cast<int>(kTimeout.count());
+  Start(options);
+  const auto port = daemon_->port();
+  const auto t0 = std::chrono::steady_clock::now();
+  const int mid_header =
+      connect_and_send(port, "GET /healthz HTTP/1.1\r\nHost: loc");
+  const int short_body = connect_and_send(
+      port,
+      "POST /v1/campaign HTTP/1.1\r\nHost: localhost\r\n"
+      "Content-Length: 100\r\n\r\n{\"seeds\":");
+  ASSERT_GE(mid_header, 0);
+  ASSERT_GE(short_body, 0);
+
+  EXPECT_EQ(http_get(port, "/healthz").status, 200);
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, kTimeout)
+      << "the well-formed request waited for a stalled one to time out";
+
+  const auto header_reply = read_response(mid_header);
+  const auto body_reply = read_response(short_body);
+  const auto waited = std::chrono::steady_clock::now() - t0;
+  EXPECT_EQ(header_reply.status, 408);
+  EXPECT_EQ(header_reply.body, "timed out reading request\n");
+  EXPECT_EQ(body_reply.status, 408);
+  EXPECT_EQ(body_reply.body, "timed out reading request body\n");
+  EXPECT_GE(waited, kTimeout);
+  // The timeouts do not wedge the daemon.
+  EXPECT_EQ(http_get(port, "/healthz").status, 200);
 }
 
 TEST(DaemonLifecycle, StopDrainsAndRestartRebinds) {

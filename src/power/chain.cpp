@@ -53,11 +53,6 @@ OutputChain::OutputChain(Converter converter, Volts rail_voltage)
   require_spec(rail_voltage_.value() > 0.0, "rail voltage must be > 0");
 }
 
-Watts OutputChain::solve_bus_power(Watts load_power, Volts bus_voltage) const {
-  if (!rail_available(bus_voltage)) return Watts{0.0};
-  return converter_.required_input(load_power, bus_voltage, rail_voltage_);
-}
-
 bool OutputChain::rail_available(Volts bus_voltage) const {
   return converter_.can_convert(bus_voltage, rail_voltage_);
 }

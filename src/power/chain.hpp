@@ -230,7 +230,10 @@ class OutputChain {
     const auto load_key = std::bit_cast<std::uint64_t>(load_power.value());
     const auto bus_key = std::bit_cast<std::uint64_t>(bus_voltage.value());
     if (!memo_valid_ || load_key != memo_load_ || bus_key != memo_bus_) {
-      memo_power_ = solve_bus_power(load_power, bus_voltage);
+      memo_power_ = rail_available(bus_voltage)
+                        ? converter_.required_input(load_power, bus_voltage,
+                                                    rail_voltage_)
+                        : Watts{0.0};
       memo_load_ = load_key;
       memo_bus_ = bus_key;
       memo_valid_ = true;
@@ -245,9 +248,6 @@ class OutputChain {
   [[nodiscard]] const Converter& converter() const { return converter_; }
 
  private:
-  /// Uncached body of required_bus_power().
-  [[nodiscard]] Watts solve_bus_power(Watts load_power, Volts bus_voltage) const;
-
   Converter converter_;
   Volts rail_voltage_;
   mutable bool memo_valid_{false};

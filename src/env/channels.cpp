@@ -1,6 +1,7 @@
 #include "env/channels.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <numbers>
 
@@ -14,6 +15,11 @@ constexpr double kDeg2Rad = std::numbers::pi / 180.0;
 
 /// Standard normal CDF via erf.
 double phi(double z) { return 0.5 * (1.0 + std::erf(z / std::numbers::sqrt2)); }
+
+/// Step memos key on dt's exact bits, so a hit reproduces every bit.
+std::uint64_t dt_key(Seconds dt) {
+  return std::bit_cast<std::uint64_t>(dt.value());
+}
 }  // namespace
 
 double hour_of_day(Seconds now) {
@@ -44,12 +50,16 @@ WattsPerSquareMeter SolarChannel::clear_sky(Seconds now) const {
   // Solar elevation from declination + hour angle (standard astronomical
   // approximation, more than sufficient for energy-availability studies).
   const int doy = params_.day_of_year + day_index(now);
-  const double declination =
-      -23.44 * kDeg2Rad * std::cos(2.0 * std::numbers::pi * (doy + 10) / 365.0);
+  const auto& day = day_terms_.get(static_cast<std::uint64_t>(doy), [&] {
+    const double declination =
+        -23.44 * kDeg2Rad *
+        std::cos(2.0 * std::numbers::pi * (doy + 10) / 365.0);
+    const double lat = params_.latitude_deg * kDeg2Rad;
+    return std::array<double, 2>{std::sin(lat) * std::sin(declination),
+                                 std::cos(lat) * std::cos(declination)};
+  });
   const double hour_angle = (hour_of_day(now) - 12.0) * 15.0 * kDeg2Rad;
-  const double lat = params_.latitude_deg * kDeg2Rad;
-  const double sin_elev = std::sin(lat) * std::sin(declination) +
-                          std::cos(lat) * std::cos(declination) * std::cos(hour_angle);
+  const double sin_elev = day[0] + day[1] * std::cos(hour_angle);
   if (sin_elev <= 0.0) return WattsPerSquareMeter{0.0};
   // Simple air-mass attenuation of the extraterrestrial beam.
   const double air_mass = 1.0 / std::max(sin_elev, 0.05);
@@ -59,10 +69,15 @@ WattsPerSquareMeter SolarChannel::clear_sky(Seconds now) const {
 
 WattsPerSquareMeter SolarChannel::advance(Seconds now, Seconds dt) {
   // Two-state Markov chain with exponential dwell times, discretized.
-  const double leave_rate =
-      cloudy_ ? 1.0 / params_.mean_cloudy_spell.value()
-              : 1.0 / params_.mean_clear_spell.value();
-  if (rng_.bernoulli(-std::expm1(-leave_rate * dt.value()))) cloudy_ = !cloudy_;
+  const auto& leave_p = leave_p_.get(dt_key(dt), [&] {
+    const auto p = [&](Seconds spell) {
+      const double leave_rate = 1.0 / spell.value();
+      return -std::expm1(-leave_rate * dt.value());
+    };
+    return std::array<double, 2>{p(params_.mean_clear_spell),
+                                 p(params_.mean_cloudy_spell)};
+  });
+  if (rng_.bernoulli(leave_p[cloudy_ ? 1 : 0])) cloudy_ = !cloudy_;
   const WattsPerSquareMeter base = clear_sky(now);
   return cloudy_ ? base * params_.cloud_attenuation : base;
 }
@@ -108,8 +123,13 @@ WindChannel::WindChannel(Params params, std::uint64_t seed)
 MetersPerSecond WindChannel::advance(Seconds now, Seconds dt) {
   // AR(1) latent Gaussian keeps temporal correlation; mapping through the
   // Weibull inverse CDF gives the canonical wind-speed marginal.
-  const double rho = std::exp(-dt.value() / params_.correlation_time.value());
-  z_ = rho * z_ + std::sqrt(std::max(0.0, 1.0 - rho * rho)) * rng_.normal();
+  const auto& ar = ar_.get(dt_key(dt), [&] {
+    const double rho =
+        std::exp(-dt.value() / params_.correlation_time.value());
+    return std::array<double, 2>{rho,
+                                 std::sqrt(std::max(0.0, 1.0 - rho * rho))};
+  });
+  z_ = ar[0] * z_ + ar[1] * rng_.normal();
   const double u = std::clamp(phi(z_), 1e-9, 1.0 - 1e-9);
   double speed = params_.weibull_scale.value() *
                  std::pow(-std::log(1.0 - u), 1.0 / params_.weibull_shape);
@@ -162,7 +182,9 @@ Kelvin ThermalChannel::advance(Seconds now, Seconds dt) {
     state_time_left_ = Seconds{rng_.exponential(mean)};
   }
   const Kelvin target = on_ ? params_.gradient_on : params_.gradient_off;
-  const double alpha = 1.0 - std::exp(-dt.value() / params_.thermal_time_constant.value());
+  const double alpha = alpha_.get(dt_key(dt), [&] {
+    return 1.0 - std::exp(-dt.value() / params_.thermal_time_constant.value());
+  });
   gradient_ += (target - gradient_) * alpha;
   return gradient_;
 }

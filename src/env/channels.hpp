@@ -7,12 +7,39 @@
 // deterministic streams.
 #pragma once
 
+#include <array>
 #include <cstdint>
 
 #include "core/random.hpp"
 #include "core/units.hpp"
 
 namespace msehsim::env {
+
+namespace detail {
+
+/// One-entry exact memo for a step-invariant value: it is recomputed
+/// whenever the key (the bit pattern of dt, or a day index) changes, so a
+/// hit returns the very bits a recompute would.
+template <class Value>
+class StepMemo {
+ public:
+  template <class Compute>
+  const Value& get(std::uint64_t key, Compute&& compute) {
+    if (!valid_ || key != key_) {
+      value_ = compute();
+      key_ = key;
+      valid_ = true;
+    }
+    return value_;
+  }
+
+ private:
+  std::uint64_t key_{0};
+  bool valid_{false};
+  Value value_{};
+};
+
+}  // namespace detail
 
 /// Clear-sky solar irradiance with two-state Markov cloud cover.
 /// Irradiance follows the solar elevation for the configured latitude and
@@ -43,6 +70,12 @@ class SolarChannel {
   Params params_;
   Pcg32 rng_;
   bool cloudy_{false};
+  /// Cloud-leave probabilities {from clear, from cloudy}, keyed on dt.
+  detail::StepMemo<std::array<double, 2>> leave_p_;
+  /// clear_sky's per-day {sin(lat)·sin(decl), cos(lat)·cos(decl)}, keyed on
+  /// the day of year (mutable like the Harvester MPP cache: clear_sky is
+  /// const).
+  mutable detail::StepMemo<std::array<double, 2>> day_terms_;
 };
 
 /// Indoor artificial lighting following an occupancy schedule:
@@ -89,6 +122,8 @@ class WindChannel {
   Params params_;
   Pcg32 rng_;
   double z_{0.0};  ///< latent AR(1) Gaussian state
+  /// AR(1) coefficients {rho, sqrt(1 - rho²)}, keyed on dt.
+  detail::StepMemo<std::array<double, 2>> ar_;
 };
 
 /// Constant low-speed airflow from building ventilation (indoor "wind").
@@ -134,6 +169,7 @@ class ThermalChannel {
   bool on_{false};
   Seconds state_time_left_{0.0};
   Kelvin gradient_{0.5};
+  detail::StepMemo<double> alpha_;  ///< relaxation factor, keyed on dt
 };
 
 /// Machinery vibration: a dominant tone whose amplitude follows the same

@@ -2,7 +2,9 @@
 // trace playback, compiled-trace snapshots.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <filesystem>
 
 #include "core/error.hpp"
@@ -10,6 +12,7 @@
 #include "env/compiled_trace.hpp"
 #include "env/environment.hpp"
 #include "env/trace_cache.hpp"
+#include "reference_channels.hpp"
 
 namespace msehsim::env {
 namespace {
@@ -66,6 +69,51 @@ TEST(SolarChannel, RejectsBadSpec) {
   SolarChannel::Params p;
   p.cloud_attenuation = 1.5;
   EXPECT_THROW(SolarChannel(p, 1), msehsim::SpecError);
+}
+
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+TEST(ChannelStepMemos, MatchThePerStepFormulasBitForBit) {
+  // The memoized terms depend only on dt or on the day, so step through dt
+  // changes (and back to an earlier dt) and across three midnights, and
+  // compare every sample with the formulas evaluated afresh each step.
+  SolarChannel::Params sp;
+  sp.mean_clear_spell = Seconds{1800.0};  // frequent flips: both states' memo
+  sp.mean_cloudy_spell = Seconds{900.0};
+  SolarChannel solar(sp, 7);
+  testing::ReferenceSolar ref_solar(sp, 7);
+  WindChannel wind({}, 8);
+  testing::ReferenceWind ref_wind({}, 8);
+  ThermalChannel thermal({}, 9);
+  testing::ReferenceThermal ref_thermal({}, 9);
+
+  const double dts[] = {60.0, 5.0, 60.0, 17.5, 300.0, 0.25};
+  int flips = 0;
+  bool was_cloudy = false;
+  std::size_t step = 0;
+  for (double t = 0.0; t < 3.5 * kDay; ++step) {
+    const Seconds now{t};
+    const Seconds dt{dts[(step / 400) % 6]};
+    ASSERT_EQ(bits(solar.advance(now, dt).value()),
+              bits(ref_solar.advance(now, dt).value()))
+        << "solar step " << step;
+    ASSERT_EQ(solar.cloudy(), ref_solar.cloudy()) << "step " << step;
+    flips += solar.cloudy() != was_cloudy;
+    was_cloudy = solar.cloudy();
+    ASSERT_EQ(bits(wind.advance(now, dt).value()),
+              bits(ref_wind.advance(now, dt).value()))
+        << "wind step " << step;
+    ASSERT_EQ(bits(thermal.advance(now, dt).value()),
+              bits(ref_thermal.advance(now, dt).value()))
+        << "thermal step " << step;
+    // clear_sky on its own, jumping back a day and forward again.
+    const Seconds yesterday{t - kDay};
+    ASSERT_EQ(bits(solar.clear_sky(yesterday).value()),
+              bits(ref_solar.clear_sky(yesterday).value()))
+        << "clear_sky step " << step;
+    t += dt.value();
+  }
+  EXPECT_GT(flips, 20);  // both cloud-leave probabilities were used
 }
 
 TEST(IndoorLightChannel, FollowsOfficeSchedule) {

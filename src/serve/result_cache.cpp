@@ -1,6 +1,5 @@
 #include "serve/result_cache.hpp"
 
-#include <algorithm>
 #include <utility>
 
 namespace msehsim::serve {
@@ -57,19 +56,25 @@ std::shared_ptr<const std::string> ResultCache::load(
     ++stats_.misses;
     return nullptr;
   }
-  it->second.last_used = ++clock_;
+  recency_.splice(recency_.end(), recency_, it->second.recency);
   ++stats_.hits;
   return it->second.body;
 }
 
 void ResultCache::store(const std::string& canonical, std::string body) {
   const std::uint64_t k = key(canonical);
+  auto shared = std::make_shared<const std::string>(std::move(body));
   const std::lock_guard<std::mutex> lock(mu_);
-  auto& entry = entries_[k];
-  if (entry.body) stats_.bytes -= entry.body->size();
+  const auto [it, inserted] = entries_.try_emplace(k);
+  Entry& entry = it->second;
+  if (inserted) {
+    entry.recency = recency_.insert(recency_.end(), k);
+  } else {
+    stats_.bytes -= entry.body->size();
+    recency_.splice(recency_.end(), recency_, entry.recency);
+  }
   entry.canonical = canonical;
-  entry.body = std::make_shared<const std::string>(std::move(body));
-  entry.last_used = ++clock_;
+  entry.body = std::move(shared);
   stats_.bytes += entry.body->size();
   ++stats_.insertions;
   evict_locked();
@@ -80,12 +85,11 @@ void ResultCache::evict_locked() {
     return (max_entries_ != 0 && entries_.size() > max_entries_) ||
            (max_bytes_ != 0 && stats_.bytes > max_bytes_);
   };
-  while (over() && !entries_.empty()) {
-    auto victim = entries_.begin();
-    for (auto it = entries_.begin(); it != entries_.end(); ++it)
-      if (it->second.last_used < victim->second.last_used) victim = it;
+  while (over() && !recency_.empty()) {
+    const auto victim = entries_.find(recency_.front());
     stats_.bytes -= victim->second.body->size();
     entries_.erase(victim);
+    recency_.pop_front();
     ++stats_.evictions;
   }
 }

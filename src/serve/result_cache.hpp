@@ -26,6 +26,7 @@
 #pragma once
 
 #include <cstdint>
+#include <list>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -73,7 +74,7 @@ class ResultCache {
   struct Entry {
     std::string canonical;                     ///< collision validation
     std::shared_ptr<const std::string> body;
-    std::uint64_t last_used{0};
+    std::list<std::uint64_t>::iterator recency;  ///< this key in recency_
   };
 
   void evict_locked();
@@ -82,7 +83,9 @@ class ResultCache {
   std::uint64_t max_bytes_;
   mutable std::mutex mu_;
   std::unordered_map<std::uint64_t, Entry> entries_;
-  std::uint64_t clock_{0};
+  /// Resident keys, least recently used first: a hit or store moves its key
+  /// to the back, eviction pops the front, both O(1).
+  std::list<std::uint64_t> recency_;
   ResultCacheStats stats_;
 };
 

@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "core/error.hpp"
+#include "core/random.hpp"
 #include "obs/prometheus.hpp"
 #include "serve/daemon.hpp"
 #include "serve/json.hpp"
@@ -300,6 +301,96 @@ TEST(ServeResultCache, KeyIsStableAndCanonicalSensitive) {
   const auto k1 = ResultCache::key("canonical-a");
   EXPECT_EQ(k1, ResultCache::key("canonical-a"));
   EXPECT_NE(k1, ResultCache::key("canonical-b"));
+}
+
+/// A plain LRU over a vector, least recently used first: the behaviour
+/// ResultCache's recency list must reproduce exactly.
+struct ReferenceLru {
+  std::size_t max_entries;
+  std::uint64_t max_bytes;
+  std::vector<std::pair<std::string, std::string>> order;  ///< (key, body)
+  std::uint64_t bytes{0};
+  std::vector<std::string> evicted;
+
+  auto find(const std::string& key) {
+    return std::find_if(order.begin(), order.end(),
+                        [&](const auto& e) { return e.first == key; });
+  }
+  const std::string* load(const std::string& key) {
+    const auto it = find(key);
+    if (it == order.end()) return nullptr;
+    std::rotate(it, it + 1, order.end());
+    return &order.back().second;
+  }
+  void store(const std::string& key, const std::string& body) {
+    if (const auto it = find(key); it != order.end()) {
+      bytes -= it->second.size();
+      order.erase(it);
+    }
+    order.emplace_back(key, body);
+    bytes += body.size();
+    while (!order.empty() &&
+           ((max_entries != 0 && order.size() > max_entries) ||
+            (max_bytes != 0 && bytes > max_bytes))) {
+      bytes -= order.front().second.size();
+      evicted.push_back(order.front().first);
+      order.erase(order.begin());
+    }
+  }
+};
+
+TEST(ServeResultCache, EvictsInTheOrderOfAReferenceLru) {
+  struct Caps {
+    std::size_t entries;
+    std::uint64_t bytes;
+  };
+  for (const Caps caps : {Caps{5, 0}, Caps{0, 200}, Caps{5, 200}}) {
+    SCOPED_TRACE("max_entries " + std::to_string(caps.entries) +
+                 ", max_bytes " + std::to_string(caps.bytes));
+    ResultCache cache(caps.entries, caps.bytes);
+    ReferenceLru model{caps.entries, caps.bytes, {}, 0, {}};
+    msehsim::Pcg32 rng(20131, msehsim::stream_key("result-cache-lru"));
+    std::vector<std::string> keys;
+    for (int i = 0; i < 12; ++i) keys.push_back("spec-" + std::to_string(i));
+    for (int op = 0; op < 3000; ++op) {
+      const std::string& key = keys[rng.next_below(12)];
+      if (rng.bernoulli(0.4)) {
+        const std::string* expected = model.load(key);
+        const auto got = cache.load(key);
+        ASSERT_EQ(got != nullptr, expected != nullptr) << "op " << op;
+        if (got) {
+          EXPECT_EQ(*got, *expected) << "op " << op;
+        }
+        continue;
+      }
+      // Mostly bodies of a few dozen bytes; one in 50 is larger than the
+      // byte cap and flushes every other entry before itself.
+      const std::size_t size = rng.bernoulli(0.02) ? 250 : 1 + rng.next_below(60);
+      const std::string body = key + "#" + std::to_string(op) +
+                               std::string(size, 'x');
+      model.store(key, body);
+      cache.store(key, body);
+      const auto stats = cache.stats();
+      ASSERT_EQ(stats.evictions, model.evicted.size()) << "op " << op;
+      ASSERT_EQ(stats.bytes, model.bytes) << "op " << op;
+      ASSERT_EQ(cache.size(), model.order.size()) << "op " << op;
+      // Probe residency without disturbing it: resident keys are loaded
+      // oldest first, which leaves their relative recency unchanged, and a
+      // miss never touches recency. With the same residents after every
+      // store, both caches evicted the same keys at every step.
+      for (const auto& [k, b] : model.order) {
+        const auto got = cache.load(k);
+        ASSERT_NE(got, nullptr) << "op " << op << " key " << k;
+        EXPECT_EQ(*got, b);
+      }
+      for (const auto& k : keys) {
+        if (model.find(k) == model.order.end()) {
+          ASSERT_EQ(cache.load(k), nullptr) << "op " << op << " key " << k;
+        }
+      }
+    }
+    EXPECT_GT(model.evicted.size(), 100u);  // the caps were exercised
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -9,7 +9,9 @@
 #include <string>
 
 #include "campaign/campaign.hpp"
+#include "env/compiled_trace.hpp"
 #include "env/environment.hpp"
+#include "env/trace_cache.hpp"
 #include "obs/trace.hpp"
 #include "harvest/transducers.hpp"
 #include "power/chain.hpp"
@@ -336,6 +338,48 @@ void BM_Campaign_Grid_WarmCache(benchmark::State& state) {
   std::filesystem::remove_all(dir);
 }
 BENCHMARK(BM_Campaign_Grid_WarmCache)->Unit(benchmark::kMillisecond);
+
+void BM_TraceCacheStore(benchmark::State& state) {
+  // One TraceCache::store into a directory already holding range(0) entries
+  // of a ten-minute trace. Unbounded (range(1) == 0): each store overwrites
+  // one of the existing keys, so the directory stays at its size. Capped:
+  // each store adds a new key under a cap of range(0) entries, so the
+  // directory sits at the cap and stores keep evicting. Per-store time must
+  // not grow with the directory: post-store directory passes run about once
+  // per n/16 stores (or max_bytes/16 stored bytes), not after every store.
+  const auto entries = static_cast<std::uint64_t>(state.range(0));
+  const bool capped = state.range(1) != 0;
+  const auto key = [](std::uint64_t seed) {
+    return env::TraceCacheKey{"outdoor", seed, Seconds{60.0}, Seconds{600.0}};
+  };
+  auto source = env::Environment::outdoor(1);
+  const auto trace =
+      env::CompiledTrace::compile(source, Seconds{60.0}, Seconds{600.0});
+  const std::string dir = std::filesystem::temp_directory_path() /
+                          ("msehsim_bench_store_" + std::to_string(entries) +
+                           (capped ? "_capped" : "_unbounded"));
+  std::filesystem::remove_all(dir);
+  std::uint64_t entry_bytes = 0;
+  {
+    env::TraceCache fill(dir);
+    for (std::uint64_t seed = 0; seed < entries; ++seed)
+      fill.store(key(seed), *trace);
+    entry_bytes = std::filesystem::file_size(fill.entry_path(key(0)));
+  }
+  env::TraceCache cache(dir, capped ? entries * entry_bytes : 0);
+  std::uint64_t next = 0;
+  for (auto _ : state) {
+    cache.store(key(capped ? entries + next : next % entries), *trace);
+    ++next;
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
+  state.counters["evictions"] = static_cast<double>(cache.stats().evictions);
+  std::filesystem::remove_all(dir);
+}
+BENCHMARK(BM_TraceCacheStore)
+    ->ArgsProduct({{16, 2048}, {0, 1}})
+    ->ArgNames({"entries", "capped"})
+    ->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 

@@ -82,30 +82,79 @@ std::size_t round_up8(std::size_t n) { return (n + 7u) & ~std::size_t{7}; }
 
 TraceCache::TraceCache(std::string dir, std::uint64_t max_bytes)
     : dir_(std::move(dir)), max_bytes_(max_bytes) {
-  sweep_orphaned_temps();
+  directory_pass(/*evict=*/false);
 }
 
-void TraceCache::sweep_orphaned_temps() {
+TraceCache::PassResult TraceCache::directory_pass(bool evict) {
   // A writer that crashed between ofstream and rename() leaves a
   // `<hash>.tmp.<pid>.<n>` file behind forever: it never matches the
-  // `.mtrc` probe, so nothing would otherwise reclaim it. Sweep such
-  // orphans when a cache opens the directory AND on every eviction pass —
-  // a long-lived daemon opens its cache once and then runs for months, so
-  // an open-only sweep would let crashed writers leak tmp files for the
-  // life of the process. An age floor keeps a live writer in another
-  // process safe — a store takes milliseconds, so anything older than the
-  // floor can only be an orphan.
+  // `.mtrc` probe, so nothing would otherwise reclaim it. Passes run when a
+  // cache opens the directory AND on the post-store schedule — a long-lived
+  // daemon opens its cache once and then runs for months, so an open-only
+  // sweep would let crashed writers leak tmp files for the life of the
+  // process. An age floor keeps a live writer in another process safe — a
+  // store takes milliseconds, so anything older than the floor can only be
+  // an orphan.
   constexpr auto kOrphanAge = std::chrono::minutes(15);
+  struct Entry {
+    fs::path path;
+    std::uint64_t bytes;
+    fs::file_time_type mtime;
+  };
+  std::vector<Entry> entries;
+  PassResult seen;
   std::error_code ec;
   for (const auto& de : fs::directory_iterator(dir_, ec)) {
-    if (de.path().filename().string().find(".tmp.") == std::string::npos)
-      continue;
     std::error_code fec;
+    if (de.path().filename().string().find(".tmp.") != std::string::npos) {
+      const auto mtime = de.last_write_time(fec);
+      if (!fec && fs::file_time_type::clock::now() - mtime >= kOrphanAge)
+        fs::remove(de.path(), fec);
+      continue;
+    }
+    if (de.path().extension() != ".mtrc") continue;
+    ++seen.entries;
+    // Sizes only matter to a capped post-store pass; the open sweep and an
+    // unbounded cache never stat entries.
+    if (!evict || max_bytes_ == 0) continue;
+    const auto bytes = de.file_size(fec);
+    if (fec) continue;
     const auto mtime = de.last_write_time(fec);
     if (fec) continue;
-    if (fs::file_time_type::clock::now() - mtime < kOrphanAge) continue;
-    fs::remove(de.path(), fec);
+    entries.push_back({de.path(), bytes, mtime});
+    seen.bytes += bytes;
   }
+  if (ec || !evict || seen.bytes <= max_bytes_) return seen;
+  // Oldest-first; ties broken by path so eviction order is deterministic.
+  std::sort(entries.begin(), entries.end(), [](const Entry& a, const Entry& b) {
+    if (a.mtime != b.mtime) return a.mtime < b.mtime;
+    return a.path < b.path;
+  });
+  // Evicting below the cap leaves headroom, so the next pass is due only
+  // after about max_bytes/16 more bytes, not after the very next store.
+  const std::uint64_t low_water = max_bytes_ - max_bytes_ / 16;
+  for (const auto& e : entries) {
+    if (seen.bytes <= low_water) break;
+    std::error_code rec;
+    if (fs::remove(e.path, rec) && !rec) {
+      seen.bytes -= e.bytes;
+      --seen.entries;
+      ++seen.evictions;
+    }
+  }
+  return seen;
+}
+
+bool TraceCache::claim_pass_locked() {
+  const bool due =
+      stores_since_pass_ >=
+          std::max<std::uint64_t>(1, entries_at_pass_ / 16) ||
+      (max_bytes_ != 0 && bytes_at_pass_ + bytes_since_pass_ > max_bytes_);
+  if (pass_running_ || !due) return false;
+  pass_running_ = true;
+  stores_since_pass_ = 0;
+  bytes_since_pass_ = 0;
+  return true;
 }
 
 std::uint64_t TraceCache::key_hash(const TraceCacheKey& key) {
@@ -266,48 +315,27 @@ void TraceCache::store(const TraceCacheKey& key, const CompiledTrace& trace) {
     fs::remove(tmp_path, ec);
     return;
   }
-  evict_over_cap();
-}
 
-void TraceCache::evict_over_cap() {
-  // The eviction pass doubles as the steady-state orphan reaper: it already
-  // runs after every store and already walks the directory, so stale temps
-  // are reclaimed for the whole life of a long-running process, not just at
-  // open. Runs before the cap check — an unbounded cache still reaps.
-  sweep_orphaned_temps();
-  if (max_bytes_ == 0) return;
-  struct Entry {
-    fs::path path;
-    std::uint64_t bytes;
-    fs::file_time_type mtime;
-  };
-  std::vector<Entry> entries;
-  std::uint64_t total = 0;
-  std::error_code ec;
-  for (const auto& de : fs::directory_iterator(dir_, ec)) {
-    if (de.path().extension() != ".mtrc") continue;
-    std::error_code fec;
-    const auto bytes = de.file_size(fec);
-    if (fec) continue;
-    const auto mtime = de.last_write_time(fec);
-    if (fec) continue;
-    entries.push_back({de.path(), bytes, mtime});
-    total += bytes;
+  // The schedule resets when a pass is claimed, so a store that lands while
+  // the pass runs counts toward the next one (if the walk saw its file too,
+  // it is counted twice, which only brings the next pass forward). The
+  // claimant re-checks after each pass: a store that found a pass running
+  // is covered before the claimant returns.
+  bool run = false;
+  {
+    const std::lock_guard<std::mutex> lock(mu_);
+    ++stores_since_pass_;
+    bytes_since_pass_ += h.payload_offset + h.payload_bytes;
+    run = claim_pass_locked();
   }
-  if (ec || total <= max_bytes_) return;
-  // Oldest-first; ties broken by path so eviction order is deterministic.
-  std::sort(entries.begin(), entries.end(), [](const Entry& a, const Entry& b) {
-    if (a.mtime != b.mtime) return a.mtime < b.mtime;
-    return a.path < b.path;
-  });
-  for (const auto& e : entries) {
-    if (total <= max_bytes_) break;
-    std::error_code rec;
-    if (fs::remove(e.path, rec) && !rec) {
-      total -= e.bytes;
-      const std::lock_guard<std::mutex> lock(mu_);
-      ++stats_.evictions;
-    }
+  while (run) {
+    const PassResult seen = directory_pass(/*evict=*/true);
+    const std::lock_guard<std::mutex> lock(mu_);
+    stats_.evictions += seen.evictions;
+    entries_at_pass_ = seen.entries;
+    bytes_at_pass_ = seen.bytes;
+    pass_running_ = false;
+    run = claim_pass_locked();
   }
 }
 

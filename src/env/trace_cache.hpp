@@ -73,10 +73,26 @@ struct TraceCacheStats {
 /// Thread-safe (internally locked) persistent store of compiled traces.
 /// Directory-backed: one `<key-hash>.mtrc` file per entry, created on
 /// demand. All I/O failures degrade to cache misses / dropped stores.
+///
+/// Directory upkeep runs in passes, not on every store. A pass is one walk
+/// of the directory that reaps orphaned temps and, when the cache is
+/// capped, sums the entry sizes and evicts. Opening a cache runs one pass
+/// that only sweeps. After that a store runs a pass when one is due:
+///   - it is the max(1, n/16)-th store since the last pass, where n is the
+///     number of entries that pass saw, so an orphan is reaped within
+///     ceil(n/16) stores and each store costs O(1) directory visits
+///     amortized; or
+///   - max_bytes is set and the bytes the last pass saw plus the bytes this
+///     object has stored since exceed max_bytes.
+/// Only this object's stores are counted. Entries another writer (another
+/// TraceCache object or process) adds to the directory count against the
+/// cap at this object's next pass, not at its next store.
 class TraceCache {
  public:
   /// @p max_bytes caps the directory's total entry size; 0 means unbounded.
-  /// After each store, oldest-mtime entries are evicted until under the cap.
+  /// A pass that finds the directory over the cap evicts oldest-mtime
+  /// entries down to the low-water mark max_bytes - max_bytes/16, so a
+  /// capped cache rescans about once per max_bytes/16 stored bytes.
   explicit TraceCache(std::string dir, std::uint64_t max_bytes = 0);
 
   /// Probes for @p key. Returns a read-only memory-mapped CompiledTrace on
@@ -85,9 +101,9 @@ class TraceCache {
   [[nodiscard]] std::shared_ptr<const CompiledTrace> load(
       const TraceCacheKey& key);
 
-  /// Persists @p trace under @p key (atomic temp + rename), then enforces
-  /// max_bytes. Best-effort: failures leave the cache unchanged and are not
-  /// errors. Mapped traces round-trip unchanged.
+  /// Persists @p trace under @p key (atomic temp + rename), then runs a
+  /// directory pass if one is due. Best-effort: failures leave the cache
+  /// unchanged and are not errors. Mapped traces round-trip unchanged.
   void store(const TraceCacheKey& key, const CompiledTrace& trace);
 
   [[nodiscard]] TraceCacheStats stats() const;
@@ -104,19 +120,32 @@ class TraceCache {
   static constexpr std::uint32_t kFormatVersion = 1;
 
  private:
-  /// Enforces max_bytes (oldest-mtime first) and reaps orphaned temps.
-  /// Called after every store, so a long-lived process keeps its cache
-  /// directory clean without reopening it.
-  void evict_over_cap();
-  /// Removes stale `*.tmp.*` leftovers from crashed writers (age-gated so a
-  /// live writer in another process is never raced). Called on open and
-  /// from every eviction pass.
-  void sweep_orphaned_temps();
+  /// What a directory pass left behind: the entries, their total size (only
+  /// summed by a capped post-store pass), and how many it evicted.
+  struct PassResult {
+    std::uint64_t entries{0};
+    std::uint64_t bytes{0};
+    std::uint64_t evictions{0};
+  };
+  /// One walk of the directory. Removes stale `*.tmp.*` leftovers from
+  /// crashed writers (age-gated so a live writer in another process is never
+  /// raced). When capped it sums the entry sizes and, if @p evict and the sum
+  /// is over max_bytes, removes oldest-mtime entries down to the low-water
+  /// mark.
+  PassResult directory_pass(bool evict);
+  /// If a post-store pass is due and none is running, marks one running,
+  /// resets the schedule and returns true. Caller holds mu_.
+  bool claim_pass_locked();
 
   std::string dir_;
   std::uint64_t max_bytes_;
-  mutable std::mutex mu_;  ///< guards stats_ only; file ops are atomic
+  mutable std::mutex mu_;  ///< guards stats_ and the pass schedule below
   TraceCacheStats stats_;
+  std::uint64_t stores_since_pass_{0};
+  std::uint64_t bytes_since_pass_{0};  ///< bytes this object stored since
+  std::uint64_t entries_at_pass_{0};
+  std::uint64_t bytes_at_pass_{0};
+  bool pass_running_{false};  ///< one pass at a time per object
 };
 
 }  // namespace msehsim::env

@@ -5,11 +5,17 @@
 // never crash — this suite runs under the ASan/UBSan CI job.
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
+
+#include <algorithm>
 #include <chrono>
+#include <csignal>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "env/compiled_trace.hpp"
 #include "env/environment.hpp"
@@ -38,6 +44,18 @@ TraceCacheKey outdoor_key(std::uint64_t seed = 42) {
 std::shared_ptr<const CompiledTrace> compile_outdoor(const TraceCacheKey& key) {
   Environment source = Environment::outdoor(key.seed);
   return CompiledTrace::compile(source, key.dt, key.duration);
+}
+
+/// Ten-minute keys: many small entries make directory-size tests cheap.
+TraceCacheKey short_key(std::uint64_t seed) {
+  return TraceCacheKey{"outdoor", seed, Seconds{60.0}, Seconds{600.0}};
+}
+
+/// Total size of the directory's files (entries and any temps).
+std::uintmax_t dir_bytes(const fs::path& dir) {
+  std::uintmax_t total = 0;
+  for (const auto& de : fs::directory_iterator(dir)) total += de.file_size();
+  return total;
 }
 
 /// Byte-level patch helper for the corruption tests.
@@ -344,6 +362,195 @@ TEST(TraceCache, SweepsStaleTempFilesOnEviction) {
   EXPECT_NE(cache.load(key), nullptr);
   EXPECT_NE(cache.load(key2), nullptr);
   EXPECT_EQ(cache.stats().evictions, 0u);
+}
+
+TEST(TraceCache, ReapsAnOrphanWithinASixteenthOfTheEntriesInStores) {
+  // Post-store passes run every max(1, n/16) stores, n being the entries the
+  // last pass saw, so an orphan appearing in a 64-entry directory must be
+  // gone within ceil(64/16) + 1 stores (the +1 is the store that lands while
+  // the orphan appears).
+  const auto dir = test_dir("orphan_schedule");
+  const auto trace = compile_outdoor(short_key(0));
+  {
+    TraceCache fill(dir.string());
+    for (std::uint64_t seed = 1; seed <= 64; ++seed)
+      fill.store(short_key(seed), *trace);
+  }
+  TraceCache cache(dir.string());
+  cache.store(short_key(100), *trace);  // this object's first pass
+
+  const fs::path stale = dir / "deadbeefdeadbeef.tmp.999.0";
+  const fs::path fresh = dir / "cafecafecafecafe.tmp.999.1";
+  std::ofstream(stale) << "x";
+  std::ofstream(fresh) << "x";
+  fs::last_write_time(stale,
+                      fs::file_time_type::clock::now() - std::chrono::hours(1));
+
+  // The very next store does not rescan a 65-entry directory.
+  cache.store(short_key(101), *trace);
+  EXPECT_TRUE(fs::exists(stale));
+  const int bound = (64 + 15) / 16 + 1;
+  int stores = 1;
+  while (fs::exists(stale) && stores < bound) {
+    cache.store(short_key(102 + static_cast<std::uint64_t>(stores)), *trace);
+    ++stores;
+  }
+  EXPECT_FALSE(fs::exists(stale)) << "still there after " << stores << " stores";
+  EXPECT_TRUE(fs::exists(fresh));  // could belong to a live writer
+}
+
+TEST(TraceCache, CappedStoresStayUnderTheCapAndEvictToTheLowWaterMark) {
+  const auto dir = test_dir("cap_schedule");
+  const auto trace = compile_outdoor(short_key(0));
+  TraceCache sizing(dir.string());
+  sizing.store(short_key(0), *trace);
+  const auto entry_bytes = fs::file_size(sizing.entry_path(short_key(0)));
+  fs::remove_all(dir);
+
+  const std::uint64_t cap = entry_bytes * 4 + entry_bytes / 2;
+  const std::uint64_t low_water = cap - cap / 16;
+  TraceCache cache(dir.string(), cap);
+  std::uint64_t evictions = 0;
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    cache.store(short_key(seed), *trace);
+    const auto total = dir_bytes(dir);
+    EXPECT_LE(total, cap) << "after store " << seed;
+    EXPECT_NE(cache.load(short_key(seed)), nullptr) << "after store " << seed;
+    const auto now_evicted = cache.stats().evictions;
+    if (now_evicted > evictions) {
+      EXPECT_LE(total, low_water) << "after evicting at store " << seed;
+    }
+    evictions = now_evicted;
+  }
+  EXPECT_GE(evictions, 30u);
+}
+
+TEST(TraceCache, TwoWritersBringASharedCappedDirectoryBackUnderTheCap) {
+  // Each object counts only its own stores, so a second writer's entries
+  // count against the cap at this object's next pass, not its next store.
+  // Both objects pass at least every ceil(n/16) of their own stores, so with
+  // stores alternating the directory is back under the cap within
+  // 2 * (ceil(n/16) + 1) stores of going over it.
+  const auto dir = test_dir("two_writers");
+  const auto trace = compile_outdoor(short_key(0));
+  TraceCache sizing(dir.string());
+  sizing.store(short_key(0), *trace);
+  const auto entry_bytes = fs::file_size(sizing.entry_path(short_key(0)));
+  fs::remove_all(dir);
+
+  constexpr std::uint64_t kCapEntries = 48;
+  const std::uint64_t cap = entry_bytes * kCapEntries;
+  constexpr int kBound = 2 * (static_cast<int>(kCapEntries + 15) / 16 + 1);
+  TraceCache a(dir.string(), cap);
+  TraceCache b(dir.string(), cap);
+  std::uint64_t seed = 1;
+  int longest_over = 0;
+  int over = 0;
+  for (int i = 0; i < 200; ++i) {
+    (i % 2 == 0 ? a : b).store(short_key(seed++), *trace);
+    over = dir_bytes(dir) > cap ? over + 1 : 0;
+    longest_over = std::max(longest_over, over);
+  }
+  EXPECT_LT(longest_over, kBound);
+  EXPECT_GT(a.stats().evictions + b.stats().evictions, 100u);
+
+  // A third writer with no cap pushes the directory far over it; the two
+  // capped writers must bring it back.
+  {
+    TraceCache outsider(dir.string());
+    for (int i = 0; i < 32; ++i) outsider.store(short_key(seed++), *trace);
+  }
+  ASSERT_GT(dir_bytes(dir), cap);
+  int stores = 0;
+  while (dir_bytes(dir) > cap && stores <= kBound) {
+    (stores % 2 == 0 ? a : b).store(short_key(seed++), *trace);
+    ++stores;
+  }
+  EXPECT_LE(stores, kBound);
+}
+
+/// Simulates a full disk for this process: writes past @p bytes fail with
+/// EFBIG instead of raising SIGXFSZ. Restores the limit and the signal
+/// disposition on scope exit.
+class ScopedFileSizeLimit {
+ public:
+  explicit ScopedFileSizeLimit(rlim_t bytes) {
+    ::getrlimit(RLIMIT_FSIZE, &old_limit_);
+    old_handler_ = std::signal(SIGXFSZ, SIG_IGN);
+    rlimit lowered = old_limit_;
+    lowered.rlim_cur = bytes;
+    ok_ = ::setrlimit(RLIMIT_FSIZE, &lowered) == 0;
+  }
+  ~ScopedFileSizeLimit() {
+    ::setrlimit(RLIMIT_FSIZE, &old_limit_);
+    std::signal(SIGXFSZ, old_handler_);
+  }
+  ScopedFileSizeLimit(const ScopedFileSizeLimit&) = delete;
+  ScopedFileSizeLimit& operator=(const ScopedFileSizeLimit&) = delete;
+
+  [[nodiscard]] bool ok() const { return ok_; }
+
+ private:
+  rlimit old_limit_{};
+  void (*old_handler_)(int){};
+  bool ok_{false};
+};
+
+TEST(TraceCache, FailedWriteLeavesNothingBehindAndTheCacheRecovers) {
+  const auto dir = test_dir("full_disk");
+  TraceCache cache(dir.string());
+  const auto key = short_key(1);
+  const auto trace = compile_outdoor(key);
+  {
+    // Smaller than the header: the write fails part-way, like ENOSPC would.
+    ScopedFileSizeLimit full(32);
+    ASSERT_TRUE(full.ok());
+    EXPECT_NO_THROW(cache.store(key, *trace));
+  }
+  // No temp file and no entry survive the failed store.
+  for (const auto& de : fs::directory_iterator(dir))
+    ADD_FAILURE() << "left behind: " << de.path().filename();
+  EXPECT_EQ(cache.load(key), nullptr);
+  EXPECT_EQ(cache.stats().misses, 1u);
+  EXPECT_EQ(cache.stats().hits, 0u);
+
+  // With room again, the next store lands and round-trips.
+  cache.store(key, *trace);
+  const auto mapped = cache.load(key);
+  ASSERT_NE(mapped, nullptr);
+  expect_same_timeline(*trace, *mapped);
+}
+
+TEST(TraceCache, TwoThreadsStoringIntoOneCappedCacheKeepEveryKeyAccounted) {
+  // The daemon's concurrent campaigns share one TraceCache, so the pass
+  // schedule is shared state (this test also runs under ThreadSanitizer).
+  const auto dir = test_dir("two_threads");
+  const auto trace = compile_outdoor(short_key(0));
+  TraceCache sizing(dir.string());
+  sizing.store(short_key(0), *trace);
+  const auto entry_bytes = fs::file_size(sizing.entry_path(short_key(0)));
+  fs::remove_all(dir);
+
+  const std::uint64_t cap = entry_bytes * 6 + entry_bytes / 2;
+  TraceCache cache(dir.string(), cap);
+  constexpr std::uint64_t kPerThread = 60;
+  const auto writer = [&](std::uint64_t first_seed) {
+    for (std::uint64_t i = 0; i < kPerThread; ++i)
+      cache.store(short_key(first_seed + i), *trace);
+  };
+  std::thread t1(writer, 1000);
+  std::thread t2(writer, 2000);
+  t1.join();
+  t2.join();
+
+  // Distinct keys, one writer object: each key is either still on disk or
+  // was removed by exactly one counted eviction.
+  std::uint64_t loadable = 0;
+  for (const std::uint64_t first : {1000u, 2000u})
+    for (std::uint64_t i = 0; i < kPerThread; ++i)
+      loadable += cache.load(short_key(first + i)) != nullptr;
+  EXPECT_EQ(loadable + cache.stats().evictions, 2 * kPerThread);
+  EXPECT_LE(dir_bytes(dir), cap);
 }
 
 TEST(TraceCache, StoredMappedTraceRoundTripsAgain) {

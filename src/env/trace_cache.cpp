@@ -15,6 +15,7 @@
 #include <fstream>
 #include <string_view>
 #include <system_error>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -99,7 +100,8 @@ TraceCache::PassResult TraceCache::directory_pass(bool evict) {
   struct Entry {
     fs::path path;
     std::uint64_t bytes;
-    fs::file_time_type mtime;
+    std::int64_t mtime_sec;
+    std::int64_t mtime_nsec;
   };
   std::vector<Entry> entries;
   PassResult seen;
@@ -117,18 +119,19 @@ TraceCache::PassResult TraceCache::directory_pass(bool evict) {
     // Sizes only matter to a capped post-store pass; the open sweep and an
     // unbounded cache never stat entries.
     if (!evict || max_bytes_ == 0) continue;
-    const auto bytes = de.file_size(fec);
-    if (fec) continue;
-    const auto mtime = de.last_write_time(fec);
-    if (fec) continue;
-    entries.push_back({de.path(), bytes, mtime});
+    // One stat for size and mtime (file_size + last_write_time is two).
+    struct stat st{};
+    if (::stat(de.path().c_str(), &st) != 0) continue;
+    const auto bytes = static_cast<std::uint64_t>(st.st_size);
+    entries.push_back(
+        {de.path(), bytes, st.st_mtim.tv_sec, st.st_mtim.tv_nsec});
     seen.bytes += bytes;
   }
   if (ec || !evict || seen.bytes <= max_bytes_) return seen;
   // Oldest-first; ties broken by path so eviction order is deterministic.
   std::sort(entries.begin(), entries.end(), [](const Entry& a, const Entry& b) {
-    if (a.mtime != b.mtime) return a.mtime < b.mtime;
-    return a.path < b.path;
+    return std::tie(a.mtime_sec, a.mtime_nsec, a.path) <
+           std::tie(b.mtime_sec, b.mtime_nsec, b.path);
   });
   // Evicting below the cap leaves headroom, so the next pass is due only
   // after about max_bytes/16 more bytes, not after the very next store.

@@ -77,7 +77,8 @@ struct TraceCacheStats {
 /// Directory upkeep runs in passes, not on every store. A pass is one walk
 /// of the directory that reaps orphaned temps and, when the cache is
 /// capped, sums the entry sizes and evicts. Opening a cache runs one pass
-/// that only sweeps. After that a store runs a pass when one is due:
+/// that only sweeps. After that a store runs a pass when one is due (the
+/// first store always does):
 ///   - it is the max(1, n/16)-th store since the last pass, where n is the
 ///     number of entries that pass saw, so an orphan is reaped within
 ///     ceil(n/16) stores and each store costs O(1) directory visits
@@ -129,9 +130,9 @@ class TraceCache {
   };
   /// One walk of the directory. Removes stale `*.tmp.*` leftovers from
   /// crashed writers (age-gated so a live writer in another process is never
-  /// raced). When capped it sums the entry sizes and, if @p evict and the sum
-  /// is over max_bytes, removes oldest-mtime entries down to the low-water
-  /// mark.
+  /// raced). With @p evict on a capped cache it also sums the entry sizes
+  /// and, if the sum is over max_bytes, removes oldest-mtime entries down to
+  /// the low-water mark.
   PassResult directory_pass(bool evict);
   /// If a post-store pass is due and none is running, marks one running,
   /// resets the schedule and returns true. Caller holds mu_.

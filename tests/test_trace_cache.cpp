@@ -407,7 +407,9 @@ TEST(TraceCache, CappedStoresStayUnderTheCapAndEvictToTheLowWaterMark) {
   const auto entry_bytes = fs::file_size(sizing.entry_path(short_key(0)));
   fs::remove_all(dir);
 
-  const std::uint64_t cap = entry_bytes * 4 + entry_bytes / 2;
+  // Just over four entries: the low-water mark (cap - cap/16) then lies
+  // below four, so a pass that evicts must leave three.
+  const std::uint64_t cap = entry_bytes * 4 + entry_bytes / 10;
   const std::uint64_t low_water = cap - cap / 16;
   TraceCache cache(dir.string(), cap);
   std::uint64_t evictions = 0;
@@ -423,6 +425,30 @@ TEST(TraceCache, CappedStoresStayUnderTheCapAndEvictToTheLowWaterMark) {
     evictions = now_evicted;
   }
   EXPECT_GE(evictions, 30u);
+}
+
+TEST(TraceCache, LargeStoresTriggerAPassBeforeTheStoreCountDoes) {
+  // 256 small entries put the count-driven pass 16 stores apart. Day-long
+  // entries are ~100x larger, so the byte condition (bytes the last pass
+  // saw + bytes stored since > cap) must bring the pass forward.
+  const auto dir = test_dir("byte_schedule");
+  const auto small = compile_outdoor(short_key(0));
+  {
+    TraceCache fill(dir.string());
+    for (std::uint64_t seed = 1; seed <= 256; ++seed)
+      fill.store(short_key(seed), *small);
+  }
+  const TraceCacheKey day_key{"outdoor", 1, Seconds{60.0}, Seconds{86400.0}};
+  const auto large = compile_outdoor(day_key);
+  const std::uint64_t cap = dir_bytes(dir) + 3 * large->memory_bytes();
+  TraceCache cache(dir.string(), cap);
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    auto key = day_key;
+    key.seed = seed;
+    cache.store(key, *large);
+    EXPECT_LE(dir_bytes(dir), cap) << "after large store " << seed;
+  }
+  EXPECT_GT(cache.stats().evictions, 0u);
 }
 
 TEST(TraceCache, TwoWritersBringASharedCappedDirectoryBackUnderTheCap) {

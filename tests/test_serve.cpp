@@ -310,7 +310,7 @@ struct ReferenceLru {
   std::uint64_t max_bytes;
   std::vector<std::pair<std::string, std::string>> order;  ///< (key, body)
   std::uint64_t bytes{0};
-  std::vector<std::string> evicted;
+  std::uint64_t evictions{0};
 
   auto find(const std::string& key) {
     return std::find_if(order.begin(), order.end(),
@@ -333,8 +333,8 @@ struct ReferenceLru {
            ((max_entries != 0 && order.size() > max_entries) ||
             (max_bytes != 0 && bytes > max_bytes))) {
       bytes -= order.front().second.size();
-      evicted.push_back(order.front().first);
       order.erase(order.begin());
+      ++evictions;
     }
   }
 };
@@ -348,7 +348,7 @@ TEST(ServeResultCache, EvictsInTheOrderOfAReferenceLru) {
     SCOPED_TRACE("max_entries " + std::to_string(caps.entries) +
                  ", max_bytes " + std::to_string(caps.bytes));
     ResultCache cache(caps.entries, caps.bytes);
-    ReferenceLru model{caps.entries, caps.bytes, {}, 0, {}};
+    ReferenceLru model{caps.entries, caps.bytes, {}, 0, 0};
     msehsim::Pcg32 rng(20131, msehsim::stream_key("result-cache-lru"));
     std::vector<std::string> keys;
     for (int i = 0; i < 12; ++i) keys.push_back("spec-" + std::to_string(i));
@@ -371,7 +371,7 @@ TEST(ServeResultCache, EvictsInTheOrderOfAReferenceLru) {
       model.store(key, body);
       cache.store(key, body);
       const auto stats = cache.stats();
-      ASSERT_EQ(stats.evictions, model.evicted.size()) << "op " << op;
+      ASSERT_EQ(stats.evictions, model.evictions) << "op " << op;
       ASSERT_EQ(stats.bytes, model.bytes) << "op " << op;
       ASSERT_EQ(cache.size(), model.order.size()) << "op " << op;
       // Probe residency without disturbing it: resident keys are loaded
@@ -389,7 +389,7 @@ TEST(ServeResultCache, EvictsInTheOrderOfAReferenceLru) {
         }
       }
     }
-    EXPECT_GT(model.evicted.size(), 100u);  // the caps were exercised
+    EXPECT_GT(model.evictions, 100u);  // the caps were exercised
   }
 }
 

@@ -62,30 +62,43 @@ std::uint8_t I2cBus::corrupt(std::uint8_t value) {
   return value ^ static_cast<std::uint8_t>(1u << fault_rng_.next_below(8));
 }
 
+std::size_t I2cSlave::read_registers(std::uint8_t start, std::size_t count,
+                                     std::uint8_t* out) {
+  for (std::size_t i = 0; i < count; ++i) {
+    const auto value = read_register(static_cast<std::uint8_t>(start + i));
+    if (!value) return i;
+    out[i] = *value;
+  }
+  return count;
+}
+
 std::optional<std::vector<std::uint8_t>> I2cBus::read(std::uint8_t address,
                                                       std::uint8_t start_register,
                                                       std::size_t count) {
-  if (injected_failure()) return std::nullopt;
+  std::vector<std::uint8_t> out(count);
+  if (!read_into(address, start_register, count, out.data())) return std::nullopt;
+  return out;
+}
+
+bool I2cBus::read_into(std::uint8_t address, std::uint8_t start_register,
+                       std::size_t count, std::uint8_t* out) {
+  if (injected_failure()) return false;
   const auto it = slaves_.find(address);
   if (it == slaves_.end()) {
     bill(0);
     ++naks_;
-    return std::nullopt;
+    return false;
   }
-  std::vector<std::uint8_t> out;
-  out.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    const auto value =
-        it->second->read_register(static_cast<std::uint8_t>(start_register + i));
-    if (!value) {
-      bill(out.size());
-      ++naks_;
-      return std::nullopt;
-    }
-    out.push_back(corrupt(*value));
+  const std::size_t got = it->second->read_registers(start_register, count, out);
+  // Corrupted byte by byte in transfer order: the fault stream sees the
+  // same draws as a register-at-a-time read.
+  for (std::size_t i = 0; i < got; ++i) out[i] = corrupt(out[i]);
+  bill(got);
+  if (got < count) {
+    ++naks_;
+    return false;
   }
-  bill(out.size());
-  return out;
+  return true;
 }
 
 bool I2cBus::write(std::uint8_t address, std::uint8_t start_register,

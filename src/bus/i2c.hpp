@@ -29,6 +29,14 @@ class I2cSlave {
   virtual std::optional<std::uint8_t> read_register(std::uint8_t reg) = 0;
   /// Register write; returns false to NAK.
   virtual bool write_register(std::uint8_t reg, std::uint8_t value) = 0;
+
+  /// Block read of @p count registers from @p start (register addresses wrap
+  /// at 0xFF) into @p out. Returns how many bytes were read before the first
+  /// register NAKed (@p count when none did). The default reads register by
+  /// register; a slave whose registers are slices of one live value
+  /// overrides it to evaluate that value once per transaction.
+  virtual std::size_t read_registers(std::uint8_t start, std::size_t count,
+                                     std::uint8_t* out);
 };
 
 class I2cBus {
@@ -56,6 +64,11 @@ class I2cBus {
   std::optional<std::vector<std::uint8_t>> read(std::uint8_t address,
                                                 std::uint8_t start_register,
                                                 std::size_t count);
+
+  /// read() into a caller buffer of @p count bytes; false where read()
+  /// returns nullopt. Same billing, NAK and fault accounting as read().
+  bool read_into(std::uint8_t address, std::uint8_t start_register,
+                 std::size_t count, std::uint8_t* out);
 
   /// Burst register write; false on NAK.
   bool write(std::uint8_t address, std::uint8_t start_register,

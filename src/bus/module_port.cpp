@@ -36,21 +36,37 @@ std::uint32_t ModulePort::live_u32(std::uint8_t base_reg) const {
   }
 }
 
+int ModulePort::live_field(std::uint8_t reg) {
+  for (int f = 0; f < 3; ++f)
+    if (reg >= kLiveBases[f] && reg < kLiveBases[f] + 4) return f;
+  return -1;
+}
+
 std::optional<std::uint8_t> ModulePort::read_register(std::uint8_t reg) {
-  if (reg < ElectronicDatasheet::kEncodedSize) return eeprom_[reg];
-  if (reg == kRegStatus)
-    return static_cast<std::uint8_t>(telemetry_.active && telemetry_.active() ? 1 : 0);
-  if (reg >= kRegPowerUw && reg < kRegPowerUw + 4)
-    return static_cast<std::uint8_t>(live_u32(kRegPowerUw) >>
-                                     (8 * (reg - kRegPowerUw)));
-  if (reg >= kRegEnergyMj && reg < kRegEnergyMj + 4)
-    return static_cast<std::uint8_t>(live_u32(kRegEnergyMj) >>
-                                     (8 * (reg - kRegEnergyMj)));
-  if (reg >= kRegVoltageMv && reg < kRegVoltageMv + 4)
-    return static_cast<std::uint8_t>(live_u32(kRegVoltageMv) >>
-                                     (8 * (reg - kRegVoltageMv)));
-  if (reg == kRegControl) return control_;
-  return std::nullopt;
+  std::uint8_t value = 0;
+  if (read_registers(reg, 1, &value) == 0) return std::nullopt;
+  return value;
+}
+
+std::size_t ModulePort::read_registers(std::uint8_t start, std::size_t count,
+                                       std::uint8_t* out) {
+  std::optional<std::uint32_t> live[3];  // evaluated once per transaction
+  for (std::size_t i = 0; i < count; ++i) {
+    const auto reg = static_cast<std::uint8_t>(start + i);
+    if (reg < ElectronicDatasheet::kEncodedSize) {
+      out[i] = eeprom_[reg];
+    } else if (reg == kRegStatus) {
+      out[i] = telemetry_.active && telemetry_.active() ? 1 : 0;
+    } else if (const int f = live_field(reg); f >= 0) {
+      if (!live[f]) live[f] = live_u32(kLiveBases[f]);
+      out[i] = static_cast<std::uint8_t>(*live[f] >> (8 * (reg - kLiveBases[f])));
+    } else if (reg == kRegControl) {
+      out[i] = control_;
+    } else {
+      return i;  // unmapped register: NAK
+    }
+  }
+  return count;
 }
 
 bool ModulePort::write_register(std::uint8_t reg, std::uint8_t value) {
@@ -71,12 +87,12 @@ std::optional<ElectronicDatasheet> read_datasheet(I2cBus& bus, std::uint8_t addr
 
 std::optional<std::uint32_t> read_live_u32(I2cBus& bus, std::uint8_t address,
                                            std::uint8_t base_reg) {
-  const auto raw = bus.read(address, base_reg, 4);
-  if (!raw) return std::nullopt;
-  return static_cast<std::uint32_t>((*raw)[0]) |
-         (static_cast<std::uint32_t>((*raw)[1]) << 8) |
-         (static_cast<std::uint32_t>((*raw)[2]) << 16) |
-         (static_cast<std::uint32_t>((*raw)[3]) << 24);
+  std::uint8_t raw[4];
+  if (!bus.read_into(address, base_reg, 4, raw)) return std::nullopt;
+  return static_cast<std::uint32_t>(raw[0]) |
+         (static_cast<std::uint32_t>(raw[1]) << 8) |
+         (static_cast<std::uint32_t>(raw[2]) << 16) |
+         (static_cast<std::uint32_t>(raw[3]) << 24);
 }
 
 }  // namespace msehsim::bus

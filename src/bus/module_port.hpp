@@ -42,6 +42,9 @@ class ModulePort final : public I2cSlave {
   [[nodiscard]] std::uint8_t address() const override { return address_; }
   std::optional<std::uint8_t> read_register(std::uint8_t reg) override;
   bool write_register(std::uint8_t reg, std::uint8_t value) override;
+  /// Evaluates each live u32 field the block touches once, not per byte.
+  std::size_t read_registers(std::uint8_t start, std::size_t count,
+                             std::uint8_t* out) override;
 
   /// Register layout constants (shared with the manager-side driver).
   static constexpr std::uint8_t kRegDatasheet = 0x00;
@@ -52,6 +55,11 @@ class ModulePort final : public I2cSlave {
   static constexpr std::uint8_t kRegControl = 0x50;
 
  private:
+  /// Live u32 fields in register order: power, energy, voltage.
+  static constexpr std::uint8_t kLiveBases[] = {kRegPowerUw, kRegEnergyMj,
+                                                kRegVoltageMv};
+  /// Index into kLiveBases of the live field holding @p reg, or -1.
+  [[nodiscard]] static int live_field(std::uint8_t reg);
   [[nodiscard]] std::uint32_t live_u32(std::uint8_t base_reg) const;
 
   std::uint8_t address_;

@@ -25,4 +25,12 @@ inline void require_spec(bool condition, const std::string& message) {
   if (!condition) throw SpecError(message);
 }
 
+/// Literal-message overload: a string literal binds here instead of
+/// converting to std::string, so a passing check allocates nothing and the
+/// message is built only on the throw path. Hot per-step checks
+/// (SensorNode::step, CompiledTrace::at) depend on that.
+inline void require_spec(bool condition, const char* message) {
+  if (!condition) [[unlikely]] throw SpecError(message);
+}
+
 }  // namespace msehsim

@@ -1,6 +1,7 @@
 #include "node/sensor_node.hpp"
 
 #include <algorithm>
+#include <bit>
 
 #include "core/error.hpp"
 
@@ -37,16 +38,19 @@ bool SensorNode::deliver_query(Volts rail_voltage) {
 
 void SensorNode::set_task_period(Seconds period) {
   work_.task_period = std::clamp(period, work_.min_period, work_.max_period);
+  power_valid_ = false;
 }
 
 void SensorNode::inject_flash_wear(double factor) {
   require_spec(factor >= 1.0, "flash wear factor must be >= 1");
   flash_wear_factor_ *= factor;
+  power_valid_ = false;
 }
 
 void SensorNode::inject_radio_pa_degradation(double factor) {
   require_spec(factor >= 1.0, "radio PA degradation factor must be >= 1");
   radio_pa_factor_ *= factor;
+  power_valid_ = false;
 }
 
 Joules SensorNode::cycle_energy(Volts rail_voltage) const {
@@ -59,8 +63,13 @@ Joules SensorNode::cycle_energy(Volts rail_voltage) const {
 }
 
 Watts SensorNode::average_power(Volts rail_voltage) const {
+  const auto key = std::bit_cast<std::uint64_t>(rail_voltage.value());
+  if (power_valid_ && power_key_ == key) return power_;
   const Watts base = rail_voltage * (mcu_.sleep_current + radio_.wake_up_rx_current);
-  return base + cycle_energy(rail_voltage) / work_.task_period;
+  power_ = base + cycle_energy(rail_voltage) / work_.task_period;
+  power_key_ = key;
+  power_valid_ = true;
+  return power_;
 }
 
 Watts SensorNode::floor_power(Volts rail_voltage) const {

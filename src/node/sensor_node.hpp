@@ -8,6 +8,7 @@
 // costs a reboot (boot time at active current) before useful work resumes.
 #pragma once
 
+#include <cstdint>
 #include <string>
 
 #include "core/units.hpp"
@@ -67,7 +68,9 @@ class SensorNode {
   void set_task_period(Seconds period);
   [[nodiscard]] Seconds task_period() const { return work_.task_period; }
 
-  /// Average power at the present duty cycle with the rail up.
+  /// Average power at the present duty cycle with the rail up. Memoized on
+  /// the bit pattern of @p rail_voltage; the setters that change its other
+  /// inputs (task period, flash wear, PA degradation) drop the memo.
   [[nodiscard]] Watts average_power(Volts rail_voltage) const;
 
   /// Lowest possible average power (max period, no wake-up radio losses
@@ -125,6 +128,11 @@ class SensorNode {
   Joules pending_response_energy_{0.0};  ///< drained into the next step's draw
   std::uint64_t queries_received_{0};
   std::uint64_t queries_answered_{0};
+  /// average_power() memo: the platform's demand estimate and step() ask
+  /// for it at the same rail voltage every step.
+  mutable bool power_valid_{false};
+  mutable std::uint64_t power_key_{0};
+  mutable Watts power_{0.0};
 };
 
 }  // namespace msehsim::node

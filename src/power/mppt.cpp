@@ -7,6 +7,18 @@
 
 namespace msehsim::power {
 
+namespace {
+/// Bounds a hill-climbing tracker's next operating point to
+/// [min_voltage, 0.98 Voc]. Written out rather than std::clamp: when
+/// 0.98 Voc < min_voltage < Voc the bounds cross, which std::clamp does not
+/// allow. This is the order std::clamp evaluates, so the result is the
+/// same wherever the bounds are ordered; with crossed bounds the tracker
+/// sits at 0.98 Voc.
+Volts clamp_to_curve(Volts next, Volts min_voltage, Volts voc) {
+  return std::min(std::max(next, min_voltage), voc * 0.98);
+}
+}  // namespace
+
 PerturbObserve::PerturbObserve(Params params) : params_(params) {
   require_spec(params_.step.value() > 0.0, "P&O step must be > 0");
   require_spec(params_.overhead_per_update.value() >= 0.0,
@@ -25,10 +37,9 @@ Volts PerturbObserve::update(const harvest::Harvester& harvester, Volts present)
   // voltage, where a gust lull would collapse the output.
   if (power <= last_power_) direction_ = -direction_;
   last_power_ = power;
-  Volts next = present + params_.step * direction_;
+  const Volts next = present + params_.step * direction_;
   // Stay on the physically meaningful part of the curve.
-  next = std::clamp(next, params_.min_voltage, voc * 0.98);
-  return next;
+  return clamp_to_curve(next, params_.min_voltage, voc);
 }
 
 FractionalVoc::FractionalVoc(Params params) : params_(params) {
@@ -84,7 +95,7 @@ Volts IncrementalConductance::update(const harvest::Harvester& harvester,
   }
   last_v_ = v;
   last_i_ = i;
-  return std::clamp(next, params_.min_voltage, voc * 0.98);
+  return clamp_to_curve(next, params_.min_voltage, voc);
 }
 
 FixedPoint::FixedPoint(Volts setpoint) : setpoint_(setpoint) {

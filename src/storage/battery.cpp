@@ -1,6 +1,7 @@
 #include "storage/battery.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
 #include "core/error.hpp"
@@ -44,6 +45,9 @@ Battery::Battery(std::string name, Params params)
     leak_rate_per_s_ =
         -std::log1p(-params_.self_discharge_per_month) / kSecondsPerMonth;
   }
+  const double steps = kEnergySlices;
+  for (int i = 0; i < kEnergySlices; ++i)
+    capacity_slices_[i] = ocv_at((i + 0.5) / steps).value() / steps;
 }
 
 double Battery::equivalent_full_cycles() const {
@@ -69,38 +73,40 @@ Volts Battery::ocv_at(double soc) const {
                               std::clamp(soc, 0.0, 1.0))};
 }
 
-Volts Battery::voltage() const { return ocv_at(soc_now()); }
+Battery::StateKey Battery::state_key() const {
+  return {std::bit_cast<std::uint64_t>(charge_.value()),
+          std::bit_cast<std::uint64_t>(throughput_.value()),
+          std::bit_cast<std::uint64_t>(fault_health_)};
+}
+
+Volts Battery::voltage() const {
+  const StateKey key = state_key();
+  if (!ocv_.holds(key)) ocv_ = {key, true, ocv_at(soc_now()).value()};
+  return Volts{ocv_.value};
+}
 
 Joules Battery::stored_energy() const {
-  if (charge_.value() == energy_key_charge_ &&
-      throughput_.value() == energy_key_throughput_ &&
-      fault_health_ == energy_key_health_) {
-    return Joules{energy_cache_};
-  }
+  const StateKey key = state_key();
+  if (energy_.holds(key)) return Joules{energy_.value};
   // Integrate OCV over the remaining charge (trapezoid over the PWL curve).
   const double soc = soc_now();
-  const double steps = 64;
+  const double full = effective_full_charge().value();
+  const double steps = kEnergySlices;
   double energy = 0.0;
-  for (int i = 0; i < steps; ++i) {
+  for (int i = 0; i < kEnergySlices; ++i) {
     const double s0 = soc * i / steps;
     const double s1 = soc * (i + 1) / steps;
     const double v_mid = ocv_at(0.5 * (s0 + s1)).value();
-    energy += v_mid * (s1 - s0) * effective_full_charge().value();
+    energy += v_mid * (s1 - s0) * full;
   }
-  energy_key_charge_ = charge_.value();
-  energy_key_throughput_ = throughput_.value();
-  energy_key_health_ = fault_health_;
-  energy_cache_ = energy;
+  energy_ = {key, true, energy};
   return Joules{energy};
 }
 
 Joules Battery::capacity() const {
+  const double full = effective_full_charge().value();
   double energy = 0.0;
-  const double steps = 64;
-  for (int i = 0; i < steps; ++i) {
-    const double s_mid = (i + 0.5) / steps;
-    energy += ocv_at(s_mid).value() / steps * effective_full_charge().value();
-  }
+  for (const double slice : capacity_slices_) energy += slice * full;
   return Joules{energy};
 }
 

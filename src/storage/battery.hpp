@@ -8,6 +8,7 @@
 #pragma once
 
 #include <array>
+#include <cstdint>
 #include <string>
 
 #include "storage/storage.hpp"
@@ -85,6 +86,30 @@ class Battery final : public StorageDevice {
   /// Rated charge derated by cycle aging.
   [[nodiscard]] Coulombs effective_full_charge() const;
 
+  /// Bit patterns of charge_, throughput_ and fault_health_: every input
+  /// of soc_now(), so every quantity derived from the present state is a
+  /// function of this key. Bit patterns, not ==, so -0.0 and +0.0 differ
+  /// and a NaN state still hits its own entry. A struct compared member by
+  /// member, not a std::array, whose == lowers to a libc memcmp call.
+  struct StateKey {
+    std::uint64_t charge{0};
+    std::uint64_t throughput{0};
+    std::uint64_t health{0};
+    bool operator==(const StateKey&) const = default;
+  };
+  [[nodiscard]] StateKey state_key() const;
+
+  /// One value derived from the present state, recomputed only when the
+  /// key changes. A hit returns the very double a fresh evaluation would.
+  struct StateMemo {
+    StateKey key{};
+    bool valid{false};
+    double value{0.0};
+    [[nodiscard]] bool holds(const StateKey& k) const { return valid && key == k; }
+  };
+
+  static constexpr int kEnergySlices = 64;
+
   std::string name_;
   Params params_;
   Coulombs full_charge_;
@@ -97,15 +122,15 @@ class Battery final : public StorageDevice {
   /// a libm log every step.
   double leak_rate_per_s_{0.0};
   ExpMemo leak_decay_;
+  /// ocv_at(soc_now()): voltage(), max_discharge_power(), charge() and
+  /// discharge() all read it, so one step interpolates the curve once.
+  mutable StateMemo ocv_;
   /// stored_energy() integrates the OCV curve in 64 slices and the platform
-  /// monitor polls it several times per step, so the result is memoized on
-  /// its exact inputs: charge, cycle throughput (aging), and fault health.
-  /// Byte-identical — a hit returns the very double a fresh integration
-  /// would produce.
-  mutable double energy_key_charge_{std::numeric_limits<double>::quiet_NaN()};
-  mutable double energy_key_throughput_{0.0};
-  mutable double energy_key_health_{0.0};
-  mutable double energy_cache_{0.0};
+  /// monitor polls it several times per step.
+  mutable StateMemo energy_;
+  /// ocv_at((i + 0.5) / 64) / 64: capacity()'s slices depend only on the
+  /// chemistry's curve, so they are fixed at construction.
+  std::array<double, kEnergySlices> capacity_slices_{};
 };
 
 }  // namespace msehsim::storage

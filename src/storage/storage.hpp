@@ -83,6 +83,9 @@ class StorageDevice {
   virtual void apply_leakage(Seconds dt) = 0;
 
   /// Highest sustained discharge power at the present state of charge.
+  /// Contract: the result is >= 0 and never NaN. Platform::step sums these
+  /// terms and stops once the sum covers the demand, which is exact only
+  /// because a non-negative term can never lower the sum.
   [[nodiscard]] virtual Watts max_discharge_power() const = 0;
 
   // ---- Fault injection (src/fault) ---------------------------------------

@@ -203,16 +203,25 @@ class Platform {
     if (node_ != nullptr && output_.has_value()) {
       const bool rail_feasible =
           output_->rail_available(bus_v) && !brownout_latch_;
-      Watts supply_cap = p_in;
-      for (const auto& slot : stores_)
-        supply_cap += ops.max_discharge_power(slot.index, *slot.device);
       const Watts demand_estimate =
           rail_feasible ? output_->required_bus_power(
                               node_->average_power(output_->rail_voltage()),
                               bus_v)
                         : Watts{0.0};
-      const bool rail_on = rail_feasible && demand_estimate.value() > 0.0 &&
-                           demand_estimate + p_q <= supply_cap;
+      bool rail_on = rail_feasible && demand_estimate.value() > 0.0;
+      if (rail_on) {
+        // Every max_discharge_power() term is >= 0 and never NaN (the
+        // StorageDevice contract), and adding a non-negative double never
+        // lowers a sum. So once the running sum covers the need, the
+        // remaining stores cannot change the verdict and are not evaluated.
+        const Watts need = demand_estimate + p_q;
+        Watts supply_cap = p_in;
+        for (const auto& slot : stores_) {
+          if (need <= supply_cap) break;
+          supply_cap += ops.max_discharge_power(slot.index, *slot.device);
+        }
+        rail_on = need <= supply_cap;
+      }
       const Watts p_rail = node_->step(rail_on, output_->rail_voltage(), dt);
       if (rail_on) {
         p_bus_load = output_->required_bus_power(p_rail, bus_v);

@@ -2,6 +2,8 @@
 // module-port register map.
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "bus/datasheet.hpp"
 #include "bus/i2c.hpp"
 #include "bus/module_port.hpp"
@@ -169,6 +171,92 @@ TEST(ModulePort, UnknownRegisterNaks) {
   ModulePort port(0x15, pv_sheet(), {});
   bus.attach(port);
   EXPECT_FALSE(bus.read(0x15, 0x60, 1).has_value());
+}
+
+TEST(ModulePort, LiveReadEvaluatesTelemetryOncePerTransaction) {
+  I2cBus bus;
+  int power_calls = 0;
+  int energy_calls = 0;
+  int voltage_calls = 0;
+  ModulePort::Telemetry t;
+  t.output_power = [&] { ++power_calls; return Watts{1.5e-3}; };
+  t.stored_energy = [&] { ++energy_calls; return Joules{42.0}; };
+  t.terminal_voltage = [&] { ++voltage_calls; return Volts{3.123}; };
+  ModulePort port(0x16, cap_sheet(), std::move(t));
+  bus.attach(port);
+
+  EXPECT_EQ(read_live_u32(bus, 0x16, ModulePort::kRegEnergyMj).value(), 42000u);
+  EXPECT_EQ(energy_calls, 1);
+  EXPECT_EQ(power_calls, 0);
+
+  // One burst across all three fields: each callback runs once.
+  const auto all = bus.read(0x16, ModulePort::kRegPowerUw, 12);
+  ASSERT_TRUE(all.has_value());
+  EXPECT_EQ(power_calls, 1);
+  EXPECT_EQ(energy_calls, 2);
+  EXPECT_EQ(voltage_calls, 1);
+  EXPECT_EQ((*all)[4] | ((*all)[5] << 8) | ((*all)[6] << 16), 42000);
+}
+
+/// Forwards register reads to a ModulePort but keeps I2cSlave's default
+/// register-at-a-time block read: the reference for ModulePort's override.
+class PerByteSlave final : public I2cSlave {
+ public:
+  explicit PerByteSlave(ModulePort& inner) : inner_(inner) {}
+  [[nodiscard]] std::uint8_t address() const override { return inner_.address(); }
+  std::optional<std::uint8_t> read_register(std::uint8_t reg) override {
+    return inner_.read_register(reg);
+  }
+  bool write_register(std::uint8_t reg, std::uint8_t value) override {
+    return inner_.write_register(reg, value);
+  }
+
+ private:
+  ModulePort& inner_;
+};
+
+TEST(ModulePort, BlockReadMatchesPerByteReadUnderBitErrors) {
+  ModulePort::Telemetry t;
+  double energy = 12.345;
+  t.active = [] { return true; };
+  t.output_power = [] { return Watts{2.5e-3}; };
+  t.stored_energy = [&] { return Joules{energy}; };
+  t.terminal_voltage = [] { return Volts{3.3}; };
+  ModulePort block_port(0x17, cap_sheet(), t);
+  ModulePort byte_port(0x17, cap_sheet(), t);
+  PerByteSlave per_byte(byte_port);
+  I2cBus::Params params;
+  params.fault_seed = 20131;
+  I2cBus block_bus(params);
+  I2cBus byte_bus(params);
+  block_bus.attach(block_port);
+  byte_bus.attach(per_byte);
+  block_bus.set_bit_error_rate(0.2);
+  byte_bus.set_bit_error_rate(0.2);
+
+  // Datasheet, status, every live field, bursts that straddle fields, and
+  // bursts that NAK part-way (0x4D..0x4F are unmapped).
+  const std::pair<std::uint8_t, std::size_t> reads[] = {
+      {0x00, 64}, {0x40, 1}, {0x41, 4}, {0x45, 4}, {0x49, 4}, {0x43, 5},
+      {0x40, 13}, {0x4B, 4}, {0x3E, 6}, {0x50, 1}, {0x4C, 1}, {0xFF, 3}};
+  for (int round = 0; round < 20; ++round) {
+    energy += 0.5;
+    for (const auto& [reg, count] : reads) {
+      const auto a = block_bus.read(0x17, reg, count);
+      const auto b = byte_bus.read(0x17, reg, count);
+      ASSERT_EQ(a, b) << "round " << round << " reg " << int(reg);
+      const auto u = read_live_u32(block_bus, 0x17, ModulePort::kRegEnergyMj);
+      const auto v = read_live_u32(byte_bus, 0x17, ModulePort::kRegEnergyMj);
+      ASSERT_EQ(u, v);
+    }
+  }
+  EXPECT_GT(block_bus.fault_hits(), 0u);
+  EXPECT_EQ(block_bus.fault_hits(), byte_bus.fault_hits());
+  EXPECT_GT(block_bus.nak_count(), 0u);
+  EXPECT_EQ(block_bus.nak_count(), byte_bus.nak_count());
+  EXPECT_EQ(block_bus.transactions(), byte_bus.transactions());
+  EXPECT_EQ(block_bus.energy_consumed().value(),
+            byte_bus.energy_consumed().value());
 }
 
 TEST(ReadDatasheet, AbsentModuleGivesNullopt) {

@@ -60,6 +60,21 @@ TEST(PerturbObserve, ReportsConfiguredOverhead) {
   EXPECT_TRUE(po.adaptive());
 }
 
+// Voc in (min_voltage, min_voltage / 0.98): the bounds [min_voltage,
+// 0.98 Voc] cross. The tracker sits at 0.98 Voc from every start, above the
+// window or below it, without tripping std::clamp's hi >= lo precondition.
+TEST(PerturbObserve, CrossedBoundsSitAtTheCurveCap) {
+  auto pv = lit_pv(50.0);
+  const Volts voc = pv.open_circuit_voltage();
+  PerturbObserve::Params params;
+  params.min_voltage = voc * 0.99;
+  PerturbObserve po(params);
+  for (const double start : {0.0, 0.5, 0.985, 2.0}) {
+    const Volts v = po.update(pv, voc * start);
+    EXPECT_EQ(v.value(), (voc * 0.98).value()) << "start " << start;
+  }
+}
+
 TEST(PerturbObserve, RejectsBadStep) {
   PerturbObserve::Params params;
   params.step = Volts{0.0};
@@ -157,6 +172,18 @@ TEST(IncCond, DarkSourceParksAtFloor) {
   auto pv = lit_pv(0.0);
   IncrementalConductance ic;
   EXPECT_NEAR(ic.update(pv, Volts{2.0}).value(), 0.1, 1e-9);
+}
+
+TEST(IncCond, CrossedBoundsSitAtTheCurveCap) {
+  auto pv = lit_pv(50.0);
+  const Volts voc = pv.open_circuit_voltage();
+  IncrementalConductance::Params params;
+  params.min_voltage = voc * 0.99;
+  IncrementalConductance ic(params);
+  for (const double start : {0.0, 0.5, 0.985, 2.0}) {
+    const Volts v = ic.update(pv, voc * start);
+    EXPECT_EQ(v.value(), (voc * 0.98).value()) << "start " << start;
+  }
 }
 
 TEST(IncCond, RejectsBadParams) {

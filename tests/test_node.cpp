@@ -1,8 +1,13 @@
 // Sensor node load model: duty cycling, packets, brownout/reboot semantics.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <iterator>
+
 #include "core/error.hpp"
+#include "core/random.hpp"
 #include "node/sensor_node.hpp"
+#include "reference_storage.hpp"
 
 namespace msehsim::node {
 namespace {
@@ -196,6 +201,50 @@ TEST_P(DutyCycleSweep, ThroughputInverseToPeriod) {
 
 INSTANTIATE_TEST_SUITE_P(Periods, DutyCycleSweep,
                          ::testing::Values(10.0, 30.0, 60.0, 120.0, 300.0));
+
+// average_power() is memoized on the rail voltage's bit pattern. Every
+// setter that changes one of its other inputs must drop the memo: a seeded
+// mix of period changes, flash wear, PA degradation, steps and queries,
+// read at a few rail voltages (+0.0 and -0.0 included), must match the
+// uncached reference bit for bit after every operation.
+TEST(SensorNodeMemo, AveragePowerMatchesTheUncachedReference) {
+  using msehsim::testing::bits;
+  using msehsim::testing::reference_average_power;
+  constexpr double kRails[] = {3.0, 1.8, 3.3, 0.0, -0.0, 2.5};
+  for (const std::uint64_t seed : {1u, 2u, 20131u}) {
+    RadioParams radio;
+    radio.wake_up_rx_current = Amps{seed == 2u ? 5e-6 : 0.0};
+    WorkloadParams work;
+    SensorNode n("n", McuParams{}, radio, work);
+    Pcg32 rng(seed);
+    for (int op = 0; op < 2000; ++op) {
+      switch (rng.next_below(6)) {
+        case 0:
+          n.set_task_period(Seconds{rng.uniform(1.0, 4000.0)});
+          break;
+        case 1:
+          if (rng.next_below(16) == 0) n.inject_flash_wear(rng.uniform(1.0, 1.5));
+          break;
+        case 2:
+          if (rng.next_below(16) == 0)
+            n.inject_radio_pa_degradation(rng.uniform(1.0, 1.5));
+          break;
+        case 3:
+          n.step(rng.next_below(4) != 0, Volts{rng.uniform(1.5, 3.6)},
+                 Seconds{rng.uniform(0.5, 60.0)});
+          break;
+        case 4: n.deliver_query(kRail); break;
+        default: break;
+      }
+      for (int k = 0; k < 2; ++k) {
+        const Volts v{kRails[rng.next_below(std::size(kRails))]};
+        ASSERT_EQ(bits(n.average_power(v).value()),
+                  bits(reference_average_power(n, v).value()))
+            << "seed " << seed << " op " << op << " rail " << v.value();
+      }
+    }
+  }
+}
 
 }  // namespace
 }  // namespace msehsim::node

@@ -2,6 +2,7 @@
 // classification plumbing.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <memory>
 
 #include "core/error.hpp"
@@ -200,6 +201,86 @@ TEST(Platform, AmbientSocExcludesNonRechargeables) {
   p.add_storage(std::make_unique<storage::FuelCell>("fc", fc), 1);
   // Fuel cell (non-rechargeable) must not dilute the ambient SoC.
   EXPECT_NEAR(p.ambient_soc(), 1.0, 1e-6);
+}
+
+/// A store that serves any discharge and reports a fixed
+/// max_discharge_power(), counting how often the supply check asks.
+class SpyStore final : public storage::StorageDevice {
+ public:
+  explicit SpyStore(Watts max_power) : max_power_(max_power) {}
+  [[nodiscard]] std::string_view name() const override { return "spy"; }
+  [[nodiscard]] storage::StorageKind kind() const override {
+    return storage::StorageKind::kSupercapacitor;
+  }
+  [[nodiscard]] bool rechargeable() const override { return true; }
+  [[nodiscard]] Volts voltage() const override { return Volts{3.3}; }
+  [[nodiscard]] Joules stored_energy() const override { return Joules{1.0}; }
+  [[nodiscard]] Joules capacity() const override { return Joules{2.0}; }
+  Watts charge(Watts, Seconds) override { return Watts{0.0}; }
+  Watts discharge(Watts power, Seconds) override { return power; }
+  void apply_leakage(Seconds) override {}
+  [[nodiscard]] Watts max_discharge_power() const override {
+    ++calls_;
+    return max_power_;
+  }
+  [[nodiscard]] int calls() const { return calls_; }
+
+ private:
+  Watts max_power_;
+  mutable int calls_{0};
+};
+
+/// What the supply check must cover on a dark step at the spy's 3.3 V bus:
+/// the node's bus-side demand plus the power unit's quiescent draw.
+Watts dark_step_need() {
+  const OutputChain out(Converter::nano_ldo("out"), Volts{3.0});
+  const Volts bus{3.3};
+  return out.required_bus_power(small_node()->average_power(Volts{3.0}), bus) +
+         bus * small_spec().quiescent_current;
+}
+
+struct SupplyCheck {
+  bool rail_on;
+  int front_calls;
+  int back_calls;
+};
+
+/// One dark step over a two-store bank with the given supply limits.
+SupplyCheck dark_step(Watts front_max, Watts back_max) {
+  Platform p(small_spec());
+  auto front = std::make_unique<SpyStore>(front_max);
+  auto back = std::make_unique<SpyStore>(back_max);
+  const SpyStore* f = front.get();
+  const SpyStore* b = back.get();
+  p.add_storage(std::move(front), 0);
+  p.add_storage(std::move(back), 1);
+  p.set_output(OutputChain(Converter::nano_ldo("out"), Volts{3.0}));
+  p.set_node(small_node());
+  p.step(sunny(0.0), Seconds{0.0}, Seconds{1.0});
+  return {p.bus_load_energy().value() > 0.0, f->calls(), b->calls()};
+}
+
+// The front store alone covers the need exactly: the rail is up (the check
+// is <=) and the store behind it is never asked.
+TEST(PlatformSupplyCheck, FrontStoreCoveringTheNeedSkipsTheRest) {
+  const Watts need = dark_step_need();
+  ASSERT_GT(need.value(), 0.0);
+  const auto tie = dark_step(need, Watts{1.0});
+  EXPECT_TRUE(tie.rail_on);
+  EXPECT_EQ(tie.front_calls, 1);
+  EXPECT_EQ(tie.back_calls, 0);
+}
+
+TEST(PlatformSupplyCheck, ShortfallAsksTheNextStore) {
+  const Watts need = dark_step_need();
+  const Watts just_short{std::nextafter(need.value(), 0.0)};
+  const auto covered = dark_step(just_short, Watts{1.0});
+  EXPECT_TRUE(covered.rail_on);
+  EXPECT_EQ(covered.back_calls, 1);
+  const auto uncovered = dark_step(Watts{0.0}, just_short);
+  EXPECT_FALSE(uncovered.rail_on);
+  EXPECT_EQ(uncovered.front_calls, 1);
+  EXPECT_EQ(uncovered.back_calls, 1);
 }
 
 }  // namespace

@@ -4,10 +4,13 @@
 
 #include <cmath>
 #include <functional>
-#include <vector>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "core/error.hpp"
+#include "core/random.hpp"
+#include "reference_storage.hpp"
 #include "storage/battery.hpp"
 #include "storage/fuel_cell.hpp"
 #include "storage/supercapacitor.hpp"
@@ -559,6 +562,208 @@ TEST(SwitchedStorage, ConnectCountTracksClosingEdges) {
   EXPECT_EQ(s.connect_count(), 2u);
   // Starting connected counts as the first closing edge.
   EXPECT_EQ(switched_cap(true).connect_count(), 1u);
+}
+
+// ---------------------------------------------------------------------------
+// Step-path memos: every cached read equals a fresh evaluation, bit for bit
+// ---------------------------------------------------------------------------
+
+using msehsim::testing::bits;
+
+/// Every battery preset, plus empty, full and -0.0-charge states and an
+/// aging cell whose capacity depends on charge throughput.
+std::vector<Battery> memo_batteries() {
+  std::vector<Battery> out = {
+      Battery::li_ion("li", AmpHours{0.1}),
+      Battery::li_ion("li-empty", AmpHours{0.1}, 0.0),
+      Battery::li_ion("li-negzero", AmpHours{0.1}, -0.0),
+      Battery::li_ion("li-full", AmpHours{0.1}, 1.0),
+      Battery::nimh("nimh", AmpHours{2.0}),
+      Battery::nimh_aa_pack("aa", 2, 0.9),
+      Battery::thin_film("tf", AmpHours{50e-6}),
+      Battery::thin_film("tf-full", AmpHours{50e-6}, 1.0),
+      Battery::primary_lithium("prim", AmpHours{1.0}),
+      Battery::primary_lithium("prim-empty", AmpHours{1.0}, 0.0),
+  };
+  Battery::Params aging;
+  aging.capacity_fade_per_cycle = 0.09;
+  aging.initial_soc = 0.3;
+  out.emplace_back("aging", aging);
+  aging.initial_soc = -0.0;
+  out.emplace_back("aging-negzero", aging);
+  return out;
+}
+
+/// Reads every cached quantity of @p b in a random order (some twice) and
+/// compares each with the uncached reference.
+void expect_reads_match_reference(const Battery& b, Pcg32& rng) {
+  for (int k = 0; k < 4; ++k) {
+    switch (rng.next_below(5)) {
+      case 0:
+        ASSERT_EQ(bits(b.voltage().value()),
+                  bits(msehsim::testing::reference_voltage(b).value()));
+        break;
+      case 1:
+        ASSERT_EQ(
+            bits(b.max_discharge_power().value()),
+            bits(msehsim::testing::reference_max_discharge_power(b).value()));
+        break;
+      case 2:
+        ASSERT_EQ(bits(b.stored_energy().value()),
+                  bits(msehsim::testing::reference_stored_energy(b).value()));
+        break;
+      case 3:
+        ASSERT_EQ(bits(b.capacity().value()),
+                  bits(msehsim::testing::reference_capacity(b).value()));
+        break;
+      default: {
+        const double cap = msehsim::testing::reference_capacity(b).value();
+        const double soc =
+            cap > 0.0
+                ? msehsim::testing::reference_stored_energy(b).value() / cap
+                : 0.0;
+        ASSERT_EQ(bits(b.soc()), bits(soc));
+      }
+    }
+  }
+}
+
+double log_uniform(Pcg32& rng, double lo_exp, double hi_exp) {
+  return std::pow(10.0, rng.uniform(lo_exp, hi_exp));
+}
+
+TEST(BatteryMemo, RandomOperationsMatchTheUncachedReference) {
+  for (const std::uint64_t seed : {1u, 2u, 20131u}) {
+    for (auto b : memo_batteries()) {
+      SCOPED_TRACE(std::string(b.name()) + " seed " + std::to_string(seed));
+      Pcg32 rng(seed);
+      for (int op = 0; op < 400; ++op) {
+        const Seconds dt{log_uniform(rng, -1.0, 3.0)};
+        switch (rng.next_below(7)) {
+          case 0: b.charge(Watts{log_uniform(rng, -9.0, 1.0)}, dt); break;
+          case 1: b.discharge(Watts{log_uniform(rng, -9.0, 1.0)}, dt); break;
+          case 2: b.charge(Watts{1e3}, dt); break;      // to the current limit
+          case 3: b.discharge(Watts{1e3}, dt); break;   // towards empty
+          case 4: b.apply_leakage(Seconds{log_uniform(rng, 0.0, 7.0)}); break;
+          case 5:
+            if (rng.next_below(8) == 0)
+              b.inject_capacity_fade(rng.uniform(0.0, 0.3));
+            else
+              b.set_leakage_multiplier(rng.uniform(0.0, 5.0));
+            break;
+          default: break;  // read the unchanged state again
+        }
+        expect_reads_match_reference(b, rng);
+        if (HasFatalFailure()) return;
+      }
+    }
+  }
+}
+
+// Same charge and health, different throughput: an aging cell emptied and
+// refilled by the same current-limited dq. The stored-energy memo was keyed
+// at the first visit, and the capacity fade since must still show.
+TEST(BatteryMemo, ThroughputIsPartOfTheStateKey) {
+  Battery::Params p;
+  p.capacity_fade_per_cycle = 0.09;
+  p.initial_soc = 0.0;
+  Battery b("aging", p);
+  ASSERT_GT(b.charge(Watts{10.0}, kDt).value(), 0.0);
+  const Coulombs first = b.charge_state();
+  const double energy_before = b.stored_energy().value();
+  ASSERT_GT(b.discharge(Watts{10.0}, kDt).value(), 0.0);
+  ASSERT_EQ(b.charge_state().value(), 0.0);
+  ASSERT_GT(b.charge(Watts{10.0}, kDt).value(), 0.0);
+  ASSERT_EQ(bits(b.charge_state().value()), bits(first.value()));
+  EXPECT_NE(bits(b.stored_energy().value()), bits(energy_before));
+  EXPECT_EQ(bits(b.stored_energy().value()),
+            bits(msehsim::testing::reference_stored_energy(b).value()));
+  EXPECT_EQ(bits(b.voltage().value()),
+            bits(msehsim::testing::reference_voltage(b).value()));
+}
+
+// A capacity fade that leaves the charge below the new capacity changes
+// only fault_health_; every read must follow it.
+TEST(BatteryMemo, FaultHealthIsPartOfTheStateKey) {
+  auto b = Battery::li_ion("li", AmpHours{0.1}, 0.2);
+  const double v = b.voltage().value();
+  const double e = b.stored_energy().value();
+  const double m = b.max_discharge_power().value();
+  const Coulombs charge = b.charge_state();
+  b.inject_capacity_fade(0.25);
+  ASSERT_EQ(bits(b.charge_state().value()), bits(charge.value()));
+  EXPECT_NE(bits(b.voltage().value()), bits(v));
+  EXPECT_NE(bits(b.stored_energy().value()), bits(e));
+  EXPECT_NE(bits(b.max_discharge_power().value()), bits(m));
+  EXPECT_EQ(bits(b.voltage().value()),
+            bits(msehsim::testing::reference_voltage(b).value()));
+}
+
+// Platform::step stops summing max_discharge_power() once the sum covers the
+// demand. That is exact only if every term is >= 0 and never NaN, for every
+// device type, under every operation a run can apply.
+TEST(StorageContract, MaxDischargePowerIsNonNegativeAndNeverNaN) {
+  std::vector<std::function<std::unique_ptr<StorageDevice>()>> makers;
+  for (const auto& b : memo_batteries())
+    makers.push_back([b] { return std::make_unique<Battery>(b); });
+  makers.push_back([] { return std::make_unique<Supercapacitor>(small_cap(0.0)); });
+  makers.push_back([] { return std::make_unique<Supercapacitor>(small_cap(4.9)); });
+  makers.push_back([] {
+    Supercapacitor::Params p;
+    p.initial_voltage = Volts{2.0};
+    p.voltage_capacitance_slope = 2.0;
+    return std::make_unique<Supercapacitor>("sc-slope", p);
+  });
+  makers.push_back([] {
+    return std::make_unique<Supercapacitor>(
+        Supercapacitor::lithium_ion_capacitor("lic", Farads{40.0}));
+  });
+  makers.push_back([] {
+    FuelCell::Params p;
+    p.reserve = Joules{50.0};
+    auto fc = std::make_unique<FuelCell>("fc", p);
+    fc->set_enabled(true);
+    return fc;
+  });
+  makers.push_back([] {
+    return std::make_unique<SwitchedStorage>(
+        std::make_unique<Battery>(Battery::li_ion("r", AmpHours{0.05}, 0.5)),
+        true);
+  });
+  makers.push_back([] {
+    return std::make_unique<SwitchedStorage>(
+        std::make_unique<Supercapacitor>(small_cap(3.0)), false);
+  });
+  for (const std::uint64_t seed : {1u, 20131u}) {
+    for (std::size_t m = 0; m < makers.size(); ++m) {
+      auto d = makers[m]();
+      SCOPED_TRACE(std::string(d->name()) + " seed " + std::to_string(seed));
+      Pcg32 rng(seed);
+      for (int op = 0; op < 400; ++op) {
+        const Seconds dt{log_uniform(rng, -1.0, 3.0)};
+        switch (rng.next_below(7)) {
+          case 0: d->charge(Watts{log_uniform(rng, -9.0, 3.0)}, dt); break;
+          case 1: d->discharge(Watts{log_uniform(rng, -9.0, 3.0)}, dt); break;
+          case 2: d->apply_leakage(Seconds{log_uniform(rng, 0.0, 7.0)}); break;
+          case 3:
+            if (rng.next_below(8) == 0)
+              d->inject_capacity_fade(rng.uniform(0.0, 0.5));
+            break;
+          case 4: d->set_leakage_multiplier(rng.uniform(0.0, 10.0)); break;
+          case 5:
+            if (auto* fc = dynamic_cast<FuelCell*>(d.get()))
+              fc->set_enabled(rng.next_below(2) == 0);
+            if (auto* sw = dynamic_cast<SwitchedStorage*>(d.get()))
+              sw->set_connected(rng.next_below(2) == 0);
+            break;
+          default: break;
+        }
+        const double p = d->max_discharge_power().value();
+        ASSERT_FALSE(std::isnan(p)) << "op " << op;
+        ASSERT_GE(p, 0.0) << "op " << op;
+      }
+    }
+  }
 }
 
 TEST(StorageKindNames, Coverage) {

@@ -104,7 +104,7 @@ std::size_t Campaign::flat_index(std::size_t platform, std::size_t scenario,
 
 std::shared_ptr<const env::CompiledTrace> Campaign::compiled_trace(
     std::size_t scenario_index, std::size_t seed_index) {
-  auto& slot = trace_slots_[scenario_index * spec_.seeds.size() + seed_index];
+  auto& slot = trace_slot(scenario_index, seed_index);
   std::call_once(slot.once, [&] {
     OBS_SPAN("campaign.compile_trace", "campaign");
     try {
@@ -273,11 +273,6 @@ const std::vector<JobResult>& Campaign::run() {
         job.seed = spec_.seeds[k];
       }
 
-  if (spec_.compile_traces && !trace_slots_) {
-    trace_slots_ = std::make_unique<TraceSlot[]>(spec_.scenarios.size() *
-                                                 spec_.seeds.size());
-  }
-
   // The schedulable unit. Legacy mode (lane_width <= 1, or no compiled
   // trace to share): one unit per job, in grid order. Batched mode: the
   // platform-variant axis of each (scenario, seed) pair — every job that
@@ -309,6 +304,21 @@ const std::vector<JobResult>& Campaign::run() {
       units[i].seed_index = results_[i].seed_index;
       units[i].grid_indices.push_back(i);
     }
+  }
+
+  // A slot's trace lives only while a unit still replays it: the worker
+  // that finishes the slot's last unit drops the campaign's reference.
+  // A slot's lane blocks are adjacent in either pop order, so batched mode
+  // holds at most one trace per worker, plus the one being compiled. (The
+  // legacy units are platform-major: a slot is freed only after the last
+  // platform's job.) A run that failed and is retried starts from fresh
+  // slots.
+  if (spec_.compile_traces) {
+    trace_slots_ = std::make_unique<TraceSlot[]>(spec_.scenarios.size() *
+                                                 spec_.seeds.size());
+    for (const LaneBlock& unit : units)
+      trace_slot(unit.scenario_index, unit.seed_index)
+          .pending_units.fetch_add(1, std::memory_order_relaxed);
   }
 
   // Workers pop units through a fixed permutation. With longest_first the
@@ -369,6 +379,13 @@ const std::vector<JobResult>& Campaign::run() {
         } catch (...) {
           errors[i] = "unknown error";
         }
+      }
+      if (spec_.compile_traces) {
+        auto& slot = trace_slot(unit.scenario_index, unit.seed_index);
+        // acq_rel: every other unit's reads of slot.trace happen before
+        // the last one resets it.
+        if (slot.pending_units.fetch_sub(1, std::memory_order_acq_rel) == 1)
+          slot.trace.reset();
       }
     }
   };

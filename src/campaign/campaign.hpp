@@ -10,11 +10,14 @@
 // shared object is immutable: with compile_traces on, the (scenario, seed)
 // ambient timeline is compiled once into an env::CompiledTrace and every
 // platform variant's job replays it through its own CompiledEnvironment
-// cursor. Results land in a preallocated slot per grid point, so their order
-// is the deterministic grid order (platform-major, then scenario, then seed)
-// regardless of how the pool schedules the jobs — to_string(RunResult) of
-// every job is byte-identical whether the campaign ran on 1 thread or N,
-// with trace compilation on or off.
+// cursor. The campaign holds each trace only until the last work unit that
+// replays it finishes, so resident trace memory follows the units in
+// flight, not scenarios x seeds. Results land in a preallocated slot per
+// grid point, so their order is the deterministic grid order
+// (platform-major, then scenario, then seed) regardless of how the pool
+// schedules the jobs — to_string(RunResult) of every job is byte-identical
+// whether the campaign ran on 1 thread or N, with trace compilation on or
+// off.
 #pragma once
 
 #include <atomic>
@@ -271,11 +274,18 @@ class Campaign {
     std::once_flag once;
     std::shared_ptr<const env::CompiledTrace> trace;
     std::string error;
+    /// Work units that replay this slot and have not finished yet; the
+    /// worker that finishes the last one drops `trace`.
+    std::atomic<std::size_t> pending_units{0};
   };
 
   [[nodiscard]] std::size_t flat_index(std::size_t platform,
                                        std::size_t scenario,
                                        std::size_t seed_index) const;
+  [[nodiscard]] TraceSlot& trace_slot(std::size_t scenario_index,
+                                      std::size_t seed_index) {
+    return trace_slots_[scenario_index * spec_.seeds.size() + seed_index];
+  }
   /// Lazily compiles (or waits for) the (scenario, seed) snapshot; rethrows
   /// a captured compile failure for every job that needed the slot.
   [[nodiscard]] std::shared_ptr<const env::CompiledTrace> compiled_trace(

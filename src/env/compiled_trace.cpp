@@ -7,19 +7,6 @@
 
 namespace msehsim::env {
 
-namespace {
-
-/// True only for bit-exact +0.0: eliding -0.0 would swap the sign of a
-/// stored zero and could leak into a "-0"-vs-"0" byte difference in a
-/// round-trip-exact text report downstream.
-bool all_positive_zero(const std::vector<double>& v) {
-  for (const double x : v)
-    if (x != 0.0 || std::signbit(x)) return false;
-  return true;
-}
-
-}  // namespace
-
 const std::array<const char*, CompiledTrace::kChannelCount>&
 CompiledTrace::channel_names() {
   static const std::array<const char*, kChannelCount> names = {
@@ -36,32 +23,35 @@ CompiledTrace::CompiledTrace(EnvironmentModel& source, Seconds dt,
   require_spec(duration.value() > 0.0, "CompiledTrace: duration must be > 0");
   const auto reserve =
       static_cast<std::size_t>(duration.value() / dt.value()) + 1;
-  for (auto& v : owned_) v.reserve(reserve);
   // Exactly core::Simulation's stepping scheme (run_platform starts at
   // now = 0): repeated accumulation, half-step end tolerance. Any deviation
   // here would desynchronize playback from a live run.
   for (Seconds now{0.0}; now + dt * 0.5 < duration; now += dt) {
     const AmbientConditions c = source.advance(now, dt);
-    owned_[0].push_back(c.solar_irradiance.value());
-    owned_[1].push_back(c.illuminance.value());
-    owned_[2].push_back(c.wind_speed.value());
-    owned_[3].push_back(c.thermal_gradient.value());
-    owned_[4].push_back(c.vibration_rms.value());
-    owned_[5].push_back(c.vibration_freq.value());
-    owned_[6].push_back(c.rf_power_density.value());
-    owned_[7].push_back(c.water_flow.value());
-  }
-  steps_ = owned_[0].size();
-  require_spec(steps_ > 0, "CompiledTrace: zero-step timeline");
-  for (std::size_t ch = 0; ch < kChannelCount; ++ch) {
-    if (all_positive_zero(owned_[ch])) {
-      owned_[ch].clear();
-      owned_[ch].shrink_to_fit();
-      view_[ch] = nullptr;
-    } else {
-      view_[ch] = owned_[ch].data();
+    const double values[kChannelCount] = {
+        c.solar_irradiance.value(), c.illuminance.value(),
+        c.wind_speed.value(),       c.thermal_gradient.value(),
+        c.vibration_rms.value(),    c.vibration_freq.value(),
+        c.rf_power_density.value(), c.water_flow.value()};
+    for (std::size_t ch = 0; ch < kChannelCount; ++ch) {
+      auto& column = owned_[ch];
+      // A channel gets its column at its first value that is not bit-exact
+      // +0.0; until then it is elided and reads +0.0. -0.0 and NaN count as
+      // values: eliding -0.0 would swap the sign of a stored zero and could
+      // leak into a "-0"-vs-"0" byte difference in a round-trip-exact text
+      // report downstream.
+      if (column.empty()) {
+        if (values[ch] == 0.0 && !std::signbit(values[ch])) continue;
+        column.reserve(reserve);
+        column.resize(steps_, 0.0);
+      }
+      column.push_back(values[ch]);
     }
+    ++steps_;
   }
+  require_spec(steps_ > 0, "CompiledTrace: zero-step timeline");
+  for (std::size_t ch = 0; ch < kChannelCount; ++ch)
+    if (!owned_[ch].empty()) view_[ch] = owned_[ch].data();
 }
 
 std::shared_ptr<const CompiledTrace> CompiledTrace::compile(

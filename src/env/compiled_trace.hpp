@@ -36,8 +36,9 @@ namespace msehsim::env {
 
 /// Immutable structure-of-arrays snapshot of a scenario's ambient timeline,
 /// one slot per dt step. Channels that are identically +0.0 over the whole
-/// timeline are elided (their array is dropped and playback reads zero), so
-/// a two-channel outdoor site does not pay eight arrays of storage.
+/// timeline are elided (no array is ever allocated for them and playback
+/// reads zero), so a two-channel outdoor site does not pay eight arrays of
+/// storage, not even while it compiles.
 class CompiledTrace {
  public:
   /// One array per AmbientConditions field, in declaration order. This is

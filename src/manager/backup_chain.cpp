@@ -18,7 +18,7 @@ BackupChain::BackupChain(Params params) : chain_params_(std::move(params)) {
                  "backup-stage min outage must be > 0");
     require_spec(sp.min_recovery.value() > 0.0,
                  "backup-stage min recovery must be > 0");
-    stages_.push_back(Stage{sp});
+    stages_.emplace_back().params = sp;
   }
 }
 

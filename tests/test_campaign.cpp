@@ -34,6 +34,7 @@
 #include "power/converter.hpp"
 #include "power/mppt.hpp"
 #include "storage/supercapacitor.hpp"
+#include "systems/catalog.hpp"
 #include "systems/platform.hpp"
 #include "systems/runner.hpp"
 
@@ -361,6 +362,49 @@ TEST(Campaign, LongestFirstOrderingNeverChangesBytes) {
     }
   }
   for (std::size_t i = 1; i < all.size(); ++i) EXPECT_EQ(all[0], all[i]);
+}
+
+TEST(Campaign, ThreadsAndWidthsByteIdenticalWhileTracesAreReleased) {
+  // Seven Table I platforms over two (scenario, seed) slots: at width 2 a
+  // slot has four lane blocks, at width 1 seven jobs, and with four threads
+  // they finish on different workers, so whichever finishes last drops the
+  // shared trace while the others may still be reading it.
+  const systems::SystemId table1[] = {
+      systems::SystemId::kSmartPowerUnit, systems::SystemId::kPlugAndPlay,
+      systems::SystemId::kAmbiMax,        systems::SystemId::kMpWiNode,
+      systems::SystemId::kMax17710Eval,   systems::SystemId::kCymbetEval09,
+      systems::SystemId::kEhLink};
+  std::vector<std::string> baseline;
+  for (const unsigned threads : {1u, 4u})
+    for (const unsigned width : {1u, 2u, 8u}) {
+      CampaignSpec spec;
+      for (const auto id : table1)
+        spec.platforms.push_back(
+            {std::string(systems::to_string(id)),
+             [id](std::uint64_t seed) { return systems::build(id, seed); }});
+      Scenario sc;
+      sc.name = "indoor";
+      sc.environment = [](std::uint64_t seed) {
+        return std::make_unique<env::Environment>(
+            env::Environment::indoor_industrial(seed));
+      };
+      sc.duration = Seconds{3600.0};
+      sc.options.dt = Seconds{5.0};
+      spec.scenarios.push_back(std::move(sc));
+      spec.seeds = {3, 4};
+      spec.threads = threads;
+      spec.lane_width = width;
+      Campaign c(std::move(spec));
+      c.run();
+      EXPECT_EQ(c.trace_compiles(), 2u);
+      const auto got = reports(c);
+      if (baseline.empty()) {
+        baseline = got;
+      } else {
+        EXPECT_EQ(got, baseline) << threads << " threads, width " << width;
+      }
+    }
+  EXPECT_EQ(baseline.size(), 14u);
 }
 
 TEST(Campaign, ValidatesDtUpFront) {

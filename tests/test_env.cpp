@@ -2,10 +2,14 @@
 // trace playback, compiled-trace snapshots.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
+#include <string>
+#include <utility>
 
 #include "core/error.hpp"
 #include "env/channels.hpp"
@@ -13,6 +17,7 @@
 #include "env/environment.hpp"
 #include "env/trace_cache.hpp"
 #include "reference_channels.hpp"
+#include "reference_trace.hpp"
 
 namespace msehsim::env {
 namespace {
@@ -446,6 +451,132 @@ TEST(CompiledTrace, RejectsBadSpec) {
   EXPECT_THROW(CompiledTrace::compile(source, Seconds{1.0}, Seconds{0.0}),
                msehsim::SpecError);
   EXPECT_THROW(CompiledEnvironment{nullptr}, msehsim::SpecError);
+}
+
+// --- Lazy channel columns against the eight-column reference -------------
+
+/// A test double whose channels exercise every edge of column allocation:
+/// one always +0.0, one only -0.0, one that starts mid-trace, one non-zero
+/// only at the last step, one NaN at step 0, and one that is live from the
+/// first step and later falls back to zero.
+class EdgeChannels final : public EnvironmentModel {
+ public:
+  explicit EdgeChannels(std::size_t steps) : steps_(steps) {}
+  AmbientConditions advance(Seconds, Seconds) override {
+    const std::size_t i = step_++;
+    AmbientConditions c;
+    c.solar_irradiance = WattsPerSquareMeter{0.0};
+    c.illuminance = Lux{-0.0};
+    c.wind_speed = MetersPerSecond{i >= steps_ / 2 ? 0.25 * double(i) : 0.0};
+    c.thermal_gradient = Kelvin{i + 1 == steps_ ? 3.5 : 0.0};
+    c.vibration_rms =
+        MetersPerSecondSquared{i == 0 ? std::nan("") : 0.0};
+    c.vibration_freq = Hertz{i < 3 ? 120.0 : 0.0};
+    c.rf_power_density = WattsPerSquareMeter{0.0};
+    c.water_flow = MetersPerSecond{0.0};
+    return c;
+  }
+  [[nodiscard]] std::string description() const override {
+    return "edge-channels";
+  }
+
+ private:
+  std::size_t steps_;
+  std::size_t step_{0};
+};
+
+std::array<double, CompiledTrace::kChannelCount> channel_values(
+    const AmbientConditions& c) {
+  return {c.solar_irradiance.value(), c.illuminance.value(),
+          c.wind_speed.value(),       c.thermal_gradient.value(),
+          c.vibration_rms.value(),    c.vibration_freq.value(),
+          c.rf_power_density.value(), c.water_flow.value()};
+}
+
+/// Compiles two identically seeded sources, one through CompiledTrace and
+/// one through the reference, and compares everything a reader can see:
+/// every slot's bits, each channel's presence and bytes, the stored channel
+/// count, the held bytes, and the size of the trace-cache entry it writes.
+void expect_matches_reference(EnvironmentModel& live, EnvironmentModel& ref,
+                              Seconds dt, Seconds duration,
+                              const std::string& tag) {
+  const auto trace = CompiledTrace::compile(live, dt, duration);
+  const testing::ReferenceTrace expected(ref, dt, duration);
+  ASSERT_EQ(trace->step_count(), expected.steps_) << tag;
+  for (std::size_t i = 0; i < expected.steps_; ++i) {
+    const auto got = channel_values(trace->at(i));
+    for (std::size_t ch = 0; ch < got.size(); ++ch)
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(got[ch]),
+                std::bit_cast<std::uint64_t>(expected.slot(ch, i)))
+          << tag << " step " << i << " channel " << ch;
+  }
+  for (int ch = 0; ch < CompiledTrace::kChannelCount; ++ch) {
+    const double* got = trace->channel(ch);
+    const double* want = expected.view_[static_cast<std::size_t>(ch)];
+    ASSERT_EQ(got == nullptr, want == nullptr) << tag << " channel " << ch;
+    if (got != nullptr) {
+      EXPECT_EQ(std::memcmp(got, want, expected.steps_ * sizeof(double)), 0)
+          << tag << " channel " << ch;
+    }
+  }
+  EXPECT_EQ(trace->stored_channels(), expected.stored_channels()) << tag;
+  EXPECT_EQ(trace->memory_bytes(), expected.memory_bytes()) << tag;
+
+  // The entry is a 64-byte header, the description padded to 8 bytes, then
+  // one step_count()-double column per stored channel.
+  const auto dir = std::filesystem::path(::testing::TempDir()) /
+                   ("msehsim_env_lazy_" + tag);
+  std::filesystem::remove_all(dir);
+  TraceCache cache(dir.string());
+  const TraceCacheKey key{tag, 1, dt, duration};
+  cache.store(key, *trace);
+  const std::size_t header = (64 + trace->description().size() + 7) / 8 * 8;
+  EXPECT_EQ(std::filesystem::file_size(cache.entry_path(key)),
+            header + static_cast<std::size_t>(expected.stored_channels()) *
+                         expected.steps_ * sizeof(double))
+      << tag;
+  std::filesystem::remove_all(dir);
+}
+
+TEST(CompiledTrace, LazyColumnsMatchTheReferenceOnEdgeChannels) {
+  for (const double dt : {5.0, 17.5}) {
+    constexpr std::size_t kSteps = 97;
+    EdgeChannels live(kSteps);
+    EdgeChannels ref(kSteps);
+    expect_matches_reference(live, ref, Seconds{dt},
+                             Seconds{dt * static_cast<double>(kSteps)},
+                             "edge_" + std::to_string(int(dt * 10)));
+  }
+  // Which columns the double stores: -0.0, mid-trace, last-step, NaN at
+  // step 0 and the early one; never the always-+0.0 ones.
+  EdgeChannels live(10);
+  const auto trace = CompiledTrace::compile(live, Seconds{5.0}, Seconds{50.0});
+  EXPECT_EQ(trace->stored_channels(), 5);
+  EXPECT_EQ(trace->channel(0), nullptr);
+  EXPECT_TRUE(std::signbit(trace->at(4).illuminance.value()));
+  EXPECT_EQ(trace->at(4).wind_speed.value(), 0.0);
+  EXPECT_EQ(trace->at(5).wind_speed.value(), 1.25);
+  EXPECT_EQ(trace->at(8).thermal_gradient.value(), 0.0);
+  EXPECT_EQ(trace->at(9).thermal_gradient.value(), 3.5);
+  EXPECT_TRUE(std::isnan(trace->at(0).vibration_rms.value()));
+  EXPECT_EQ(trace->at(1).vibration_rms.value(), 0.0);
+}
+
+TEST(CompiledTrace, LazyColumnsMatchTheReferenceOnEveryPreset) {
+  using Preset = Environment (*)(std::uint64_t);
+  const std::pair<const char*, Preset> presets[] = {
+      {"outdoor", &Environment::outdoor},
+      {"indoor_industrial", &Environment::indoor_industrial},
+      {"agricultural", &Environment::agricultural},
+      {"office", &Environment::office}};
+  for (const auto& [name, make] : presets)
+    for (const double dt : {5.0, 17.5}) {
+      auto live = make(11);
+      auto ref = make(11);
+      expect_matches_reference(live, ref, Seconds{dt}, Seconds{kDay},
+                               std::string(name) + "_" +
+                                   std::to_string(int(dt * 10)));
+    }
 }
 
 }  // namespace

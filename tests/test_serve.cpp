@@ -23,6 +23,7 @@
 #include "core/error.hpp"
 #include "core/random.hpp"
 #include "obs/prometheus.hpp"
+#include "scoped_file_size_limit.hpp"
 #include "serve/daemon.hpp"
 #include "serve/json.hpp"
 #include "serve/result_cache.hpp"
@@ -642,6 +643,70 @@ TEST_F(DaemonFixture, SharedTraceCacheServesWarmRequests) {
   const std::string line = metrics.body.substr(pos, line_end - pos);
   const std::string value = line.substr(line.rfind(' ') + 1);
   EXPECT_NE(value, "0") << line;
+}
+
+/// The value of an unlabelled sample line "<family> <value>" in a scrape,
+/// or "" when the family is absent.
+std::string sample_value(const std::string& scrape, const std::string& family) {
+  const auto pos = scrape.find("\n" + family + " ");
+  if (pos == std::string::npos) return "";
+  const auto start = pos + family.size() + 2;
+  return scrape.substr(start, scrape.find('\n', start) - start);
+}
+
+/// The body a daemon without a trace cache serves for @p body.
+std::string cacheless_body(const std::string& body) {
+  auto options = test_options("cacheless");
+  options.trace_cache_dir.clear();
+  Daemon daemon(options);
+  daemon.start();
+  const auto r = http_post(daemon.port(), "/v1/campaign", body);
+  daemon.stop();
+  EXPECT_EQ(r.status, 200) << r.body;
+  return r.body;
+}
+
+using msehsim::testing::ScopedFileSizeLimit;
+
+TEST_F(DaemonFixture, ColdRequestOnAFullTraceCacheDiskIsServedInFull) {
+  const auto options = test_options("full_disk");
+  Start(options);
+  ClientResponse r;
+  {
+    // Smaller than an entry's header: every trace-cache write fails
+    // part-way, like ENOSPC would.
+    ScopedFileSizeLimit full(32);
+    ASSERT_TRUE(full.ok());
+    r = http_post(daemon_->port(), "/v1/campaign", kSmallBody);
+  }
+  ASSERT_EQ(r.status, 200) << r.body;
+  EXPECT_EQ(r.body, cacheless_body(kSmallBody));
+  const auto metrics = daemon_->scrape();
+  EXPECT_EQ(sample_value(metrics, "msehsim_trace_cache_misses_total"), "1")
+      << metrics;
+  EXPECT_EQ(sample_value(metrics, "msehsim_trace_cache_hits_total"), "0")
+      << metrics;
+  // The failed store left neither an entry nor a temp file.
+  EXPECT_TRUE(std::filesystem::is_empty(options.trace_cache_dir));
+}
+
+TEST_F(DaemonFixture, ColdRequestOnAReadOnlyTraceCacheDirIsServedInFull) {
+  if (::geteuid() == 0) GTEST_SKIP() << "root ignores permission bits";
+  auto options = test_options("read_only");
+  std::filesystem::create_directories(options.trace_cache_dir);
+  std::filesystem::permissions(options.trace_cache_dir,
+                               std::filesystem::perms::owner_read |
+                                   std::filesystem::perms::owner_exec);
+  Start(options);
+  const auto r = http_post(daemon_->port(), "/v1/campaign", kSmallBody);
+  std::filesystem::permissions(options.trace_cache_dir,
+                               std::filesystem::perms::owner_all);
+  ASSERT_EQ(r.status, 200) << r.body;
+  EXPECT_EQ(r.body, cacheless_body(kSmallBody));
+  const auto metrics = daemon_->scrape();
+  EXPECT_EQ(sample_value(metrics, "msehsim_trace_cache_misses_total"), "1")
+      << metrics;
+  EXPECT_TRUE(std::filesystem::is_empty(options.trace_cache_dir));
 }
 
 TEST_F(DaemonFixture, ScrapeHelperMatchesTheEndpointAndLintsClean) {

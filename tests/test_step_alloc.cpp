@@ -1,92 +1,24 @@
 // The lane-step allocates nothing once warm.
 //
-// This executable replaces the global operator new with a counting one, so
-// it lives apart from every other suite. Each window counts the heap
-// allocations made by 10,000 calls and must read zero: conditions are
-// generated beforehand, and nothing inside a window talks to gtest.
+// This executable replaces the global operator new with a counting one
+// (counting_new.hpp), so it lives apart from every other suite. Each window
+// counts the heap allocations made by 10,000 calls and must read zero:
+// conditions are generated beforehand, and nothing inside a window talks to
+// gtest.
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cstdlib>
-#include <new>
 #include <vector>
 
+#include "counting_new.hpp"
 #include "env/compiled_trace.hpp"
 #include "env/environment.hpp"
 #include "systems/catalog.hpp"
 #include "systems/platform.hpp"
 
-namespace {
-std::atomic<long> g_allocations{0};
-
-void* counted_alloc(std::size_t size) noexcept {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  return std::malloc(size == 0 ? 1 : size);
-}
-
-void* counted_alloc(std::size_t size, std::align_val_t align) noexcept {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  const auto a = static_cast<std::size_t>(align);
-  // aligned_alloc wants a size that is a multiple of the alignment.
-  const std::size_t rounded = (size + a - 1) / a * a;
-  return std::aligned_alloc(a, rounded == 0 ? a : rounded);
-}
-
-void* or_throw(void* p) {
-  if (p == nullptr) throw std::bad_alloc();
-  return p;
-}
-}  // namespace
-
-// Every replaceable form, so no allocation bypasses the count and every
-// block is released by the free() that matches its malloc() (a sanitizer
-// runtime otherwise supplies the forms left out, with its own allocator).
-void* operator new(std::size_t n) { return or_throw(counted_alloc(n)); }
-void* operator new[](std::size_t n) { return or_throw(counted_alloc(n)); }
-void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
-  return counted_alloc(n);
-}
-void* operator new[](std::size_t n, const std::nothrow_t&) noexcept {
-  return counted_alloc(n);
-}
-void* operator new(std::size_t n, std::align_val_t a) {
-  return or_throw(counted_alloc(n, a));
-}
-void* operator new[](std::size_t n, std::align_val_t a) {
-  return or_throw(counted_alloc(n, a));
-}
-void* operator new(std::size_t n, std::align_val_t a,
-                   const std::nothrow_t&) noexcept {
-  return counted_alloc(n, a);
-}
-void* operator new[](std::size_t n, std::align_val_t a,
-                     const std::nothrow_t&) noexcept {
-  return counted_alloc(n, a);
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
-void operator delete[](void* p, const std::nothrow_t&) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-void operator delete(void* p, std::align_val_t, const std::nothrow_t&) noexcept {
-  std::free(p);
-}
-void operator delete[](void* p, std::align_val_t,
-                       const std::nothrow_t&) noexcept {
-  std::free(p);
-}
-
 namespace msehsim::systems {
 namespace {
+
+using msehsim::testing::g_allocations;
 
 constexpr int kWarmup = 2000;
 constexpr int kWindow = 10000;
@@ -144,6 +76,42 @@ TEST(StepAlloc, PlatformStepAllocatesNothingOnEverySystem) {
   for (const auto& conds : sites)
     for (const SystemId id : kAllSystems)
       EXPECT_EQ(window_allocations(id, conds), 0) << to_string(id);
+}
+
+/// Allocations made by kTicks management ticks (one per 60 s of steps, the
+/// run loop's default cadence) after kWarmup steps and their ticks.
+long tick_allocations(SystemId id,
+                      const std::vector<env::AmbientConditions>& conds) {
+  constexpr int kStepsPerTick = 12;  // 60 s at dt 5 s
+  constexpr int kTicks = 166;
+  auto platform = build(id, 1);
+  Seconds now{0.0};
+  for (int i = 0; i < kWarmup; ++i) {
+    platform->step(conds[i], now, kDt);
+    now += kDt;
+    if ((i + 1) % kStepsPerTick == 0) platform->management_tick(now);
+  }
+  long made = 0;
+  for (int t = 0; t < kTicks; ++t) {
+    for (int k = 0; k < kStepsPerTick; ++k) {
+      platform->step(conds[kWarmup + t * kStepsPerTick + k], now, kDt);
+      now += kDt;
+    }
+    const long before = g_allocations.load();
+    platform->management_tick(now);
+    made += g_allocations.load() - before;
+  }
+  return made;
+}
+
+TEST(StepAlloc, ManagementTickAllocatesNothingOnBusMonitoredSystems) {
+  // Systems A and B and the smart harvester poll their digital bus monitor
+  // on every tick, through the retry ladder.
+  auto indoor = env::Environment::indoor_industrial(1);
+  const auto conds = conditions(indoor, kWarmup + kWindow);
+  for (const SystemId id : {SystemId::kSmartPowerUnit, SystemId::kPlugAndPlay,
+                            SystemId::kSmartHarvester})
+    EXPECT_EQ(tick_allocations(id, conds), 0) << to_string(id);
 }
 
 TEST(StepAlloc, CompiledTraceAtAllocatesNothing) {

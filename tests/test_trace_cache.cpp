@@ -5,11 +5,8 @@
 // never crash — this suite runs under the ASan/UBSan CI job.
 #include <gtest/gtest.h>
 
-#include <sys/resource.h>
-
 #include <algorithm>
 #include <chrono>
-#include <csignal>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -20,6 +17,7 @@
 #include "env/compiled_trace.hpp"
 #include "env/environment.hpp"
 #include "env/trace_cache.hpp"
+#include "scoped_file_size_limit.hpp"
 
 namespace fs = std::filesystem;
 using msehsim::Seconds;
@@ -495,32 +493,7 @@ TEST(TraceCache, TwoWritersBringASharedCappedDirectoryBackUnderTheCap) {
   EXPECT_LE(stores, kBound);
 }
 
-/// Simulates a full disk for this process: writes past @p bytes fail with
-/// EFBIG instead of raising SIGXFSZ. Restores the limit and the signal
-/// disposition on scope exit.
-class ScopedFileSizeLimit {
- public:
-  explicit ScopedFileSizeLimit(rlim_t bytes) {
-    ::getrlimit(RLIMIT_FSIZE, &old_limit_);
-    old_handler_ = std::signal(SIGXFSZ, SIG_IGN);
-    rlimit lowered = old_limit_;
-    lowered.rlim_cur = bytes;
-    ok_ = ::setrlimit(RLIMIT_FSIZE, &lowered) == 0;
-  }
-  ~ScopedFileSizeLimit() {
-    ::setrlimit(RLIMIT_FSIZE, &old_limit_);
-    std::signal(SIGXFSZ, old_handler_);
-  }
-  ScopedFileSizeLimit(const ScopedFileSizeLimit&) = delete;
-  ScopedFileSizeLimit& operator=(const ScopedFileSizeLimit&) = delete;
-
-  [[nodiscard]] bool ok() const { return ok_; }
-
- private:
-  rlimit old_limit_{};
-  void (*old_handler_)(int){};
-  bool ok_{false};
-};
+using msehsim::testing::ScopedFileSizeLimit;
 
 TEST(TraceCache, FailedWriteLeavesNothingBehindAndTheCacheRecovers) {
   const auto dir = test_dir("full_disk");

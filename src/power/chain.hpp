@@ -16,6 +16,7 @@
 #include "core/units.hpp"
 #include "env/conditions.hpp"
 #include "harvest/harvester.hpp"
+#include "obs/stage_timer.hpp"
 #include "power/converter.hpp"
 #include "power/mppt.hpp"
 
@@ -45,10 +46,16 @@ class InputChain {
   /// harvester() returns) viewed through a more-derived reference — both
   /// instantiations run the identical statement sequence on the identical
   /// object, which is what makes batched and scalar runs byte-identical.
-  template <typename H>
+  /// @p timer is told where each stage ends (obs/stage_timer.hpp); the
+  /// default policy does nothing.
+  template <typename H, typename Timer = obs::NoStageTimer>
   Watts step_typed(H& h, const env::AmbientConditions& conditions,
-                   Volts bus_voltage, Seconds now, Seconds dt) {
+                   Volts bus_voltage, Seconds now, Seconds dt,
+                   Timer&& timer = Timer{}) {
+    using obs::Stage;
+    auto mark = timer.start();
     h.set_conditions(conditions);
+    mark = timer.lap(Stage::kConditions, mark);
 
     if (thermal_shutdown_) {
       // The cut-out opens the power path; the MPP oracle keeps integrating so
@@ -56,6 +63,7 @@ class InputChain {
       transducer_power_ = Watts{0.0};
       harvestable_at_mpp_ += h.maximum_power_point().p * dt;
       ++shutdown_steps_;
+      timer.lap(Stage::kMppOracle, mark);
       return Watts{0.0};
     }
 
@@ -75,6 +83,7 @@ class InputChain {
       overhead_ += mppt_->overhead_per_update();
       interruption = mppt_->harvest_interruption();
       next_update_ = now + mppt_period_;
+      mark = timer.lap(Stage::kTracker, mark);
     }
 
     transducer_power_ = h.power_at(operating_voltage_);
@@ -90,8 +99,10 @@ class InputChain {
     } else {
       started_ = true;
     }
+    mark = timer.lap(Stage::kOperatingPoint, mark);
     if (!started_) {
       harvestable_at_mpp_ += h.maximum_power_point().p * dt;
+      timer.lap(Stage::kMppOracle, mark);
       return Watts{0.0};
     }
     // A Voc sample interrupts harvesting for part of the step.
@@ -110,7 +121,9 @@ class InputChain {
     conversion_loss_ += (effective - out) * dt;
     overhead_paid_ += (out - net) * dt;
     harvested_at_setpoint_ += effective * dt;
+    mark = timer.lap(Stage::kConverter, mark);
     harvestable_at_mpp_ += h.maximum_power_point().p * dt;
+    timer.lap(Stage::kMppOracle, mark);
     return net;
   }
 

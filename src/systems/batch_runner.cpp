@@ -113,6 +113,17 @@ std::size_t BatchRunner::add_lane(Platform& platform,
 }
 
 std::vector<RunResult> BatchRunner::run() {
+  obs::NoStageTimer untimed;
+  return run_lanes(untimed);
+}
+
+std::vector<RunResult> BatchRunner::run(obs::StageClock& clock) {
+  return run_lanes(clock);
+}
+
+template <typename Timer>
+std::vector<RunResult> BatchRunner::run_lanes(Timer& timer) {
+  using obs::Stage;
   require_spec(!ran_, "BatchRunner::run: already ran");
   ran_ = true;
   OBS_SPAN("batch_runner.run", "systems");
@@ -141,10 +152,12 @@ std::vector<RunResult> BatchRunner::run() {
   while (now + dt * 0.5 < duration_) {
     // Decode the shared ambient slot once per step for the whole batch
     // (CompiledEnvironment::advance's index computation, verbatim).
+    auto mark = timer.start();
     const auto raw_idx =
         static_cast<std::size_t>(std::llround(now.value() / dt.value()));
     const env::AmbientConditions conditions = trace.at(raw_idx % slot_count);
     const Seconds horizon = now + dt;
+    timer.lap(Stage::kAmbientDecode, mark);
 
     for (auto& lane_ptr : lanes_) {
       Lane& lane = *lane_ptr;
@@ -154,15 +167,19 @@ std::vector<RunResult> BatchRunner::run() {
       // function of the queue and the clock, so skipping a no-op dispatch
       // cannot change a byte.
       if (lane.next_event_s < horizon.value()) {
+        mark = timer.start();
         lane.sim.sync_clock(now, steps);
         lane.sim.dispatch_events();
         lane.next_event_s = lane.sim.next_scheduled().value();
+        timer.lap(Stage::kEvents, mark);
       }
       Platform& platform = *lane.platform;
-      platform.step_with(lane.ops, conditions, now, dt);
+      platform.step_with(lane.ops, conditions, now, dt, timer);
+      mark = timer.start();
       lane.input_stats.add(platform.last_input_power().value(), dt);
       if (lane.deliver_queries && lane.query_rng.bernoulli(p_arrival))
         platform.node()->deliver_query(platform.rail_voltage());
+      timer.lap(Stage::kLaneTail, mark);
     }
 
     now += dt;

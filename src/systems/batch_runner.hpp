@@ -50,6 +50,7 @@
 #include "core/units.hpp"
 #include "env/compiled_trace.hpp"
 #include "fault/injector.hpp"
+#include "obs/stage_timer.hpp"
 #include "systems/platform.hpp"
 #include "systems/runner.hpp"
 
@@ -79,8 +80,15 @@ class BatchRunner {
   /// RunResult per lane, in add_lane order. Runs once.
   std::vector<RunResult> run();
 
+  /// run(), with the ticks and calls of every lane-step stage added to
+  /// @p clock (obs/stage_timer.hpp). The results are the same bytes.
+  std::vector<RunResult> run(obs::StageClock& clock);
+
  private:
   struct Lane;  // per-lane engine state + dispatch tags (batch_runner.cpp)
+
+  template <typename Timer>
+  std::vector<RunResult> run_lanes(Timer& timer);
 
   std::shared_ptr<const env::CompiledTrace> trace_;
   Seconds duration_;

@@ -131,11 +131,12 @@ struct LaneOps {
     return f(d);
   }
 
+  template <typename Timer>
   Watts chain_step(std::size_t i, power::InputChain& chain,
                    const env::AmbientConditions& c, Volts bus_v, Seconds now,
-                   Seconds dt) const {
+                   Seconds dt, Timer& timer) const {
     return with_harvester(chain_tag[i], chain.harvester(), [&](auto& h) {
-      return chain.step_typed(h, c, bus_v, now, dt);
+      return chain.step_typed(h, c, bus_v, now, dt, timer);
     });
   }
 

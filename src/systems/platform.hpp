@@ -28,6 +28,7 @@
 #include "manager/policies.hpp"
 #include "manager/predictor.hpp"
 #include "node/sensor_node.hpp"
+#include "obs/stage_timer.hpp"
 #include "obs/trace.hpp"
 #include "power/chain.hpp"
 #include "storage/fuel_cell.hpp"
@@ -73,10 +74,11 @@ struct PlatformSpec {
 /// ignores it. Both policies execute identical statements on identical
 /// objects, which is what keeps batched and scalar runs byte-identical.
 struct GenericStepOps {
+  template <typename Timer>
   Watts chain_step(std::size_t /*chain*/, power::InputChain& chain,
                    const env::AmbientConditions& c, Volts bus_v, Seconds now,
-                   Seconds dt) const {
-    return chain.step(c, bus_v, now, dt);
+                   Seconds dt, Timer& timer) const {
+    return chain.step_typed(chain.harvester(), c, bus_v, now, dt, timer);
   }
   storage::StorageKind kind(std::size_t /*slot*/,
                             const storage::StorageDevice& d) const {
@@ -181,17 +183,23 @@ class Platform {
   /// policy (see GenericStepOps). The policy decides HOW each component call
   /// dispatches; WHAT happens — the statement sequence, iteration order, and
   /// every floating-point operation — is identical for all policies.
-  template <typename Ops>
+  /// @p timer is told where each stage ends (obs/stage_timer.hpp); the
+  /// default policy does nothing.
+  template <typename Ops, typename Timer = obs::NoStageTimer>
   void step_with(const Ops& ops, const env::AmbientConditions& conditions,
-                 Seconds now, Seconds dt) {
+                 Seconds now, Seconds dt, Timer&& timer = Timer{}) {
+    using obs::Stage;
     OBS_SPAN_SAMPLED("platform.step", "systems");
+    auto mark = timer.start();
     const Volts bus_v = bus_voltage_with(ops);
+    timer.lap(Stage::kBusVoltage, mark);
 
-    // 1. Input chains deliver into the bus.
+    // 1. Input chains deliver into the bus (each chain times its own stages).
     Watts p_in{0.0};
     for (std::size_t i = 0; i < inputs_.size(); ++i)
-      p_in += ops.chain_step(i, *inputs_[i], conditions, bus_v, now, dt);
+      p_in += ops.chain_step(i, *inputs_[i], conditions, bus_v, now, dt, timer);
     last_input_power_ = p_in;
+    mark = timer.start();
 
     // 2. Power-unit overhead (monitoring MCU, gating logic — the Table I
     //    quiescent row).
@@ -229,6 +237,7 @@ class Platform {
         bus_load_energy_ += p_bus_load * dt;
       }
     }
+    mark = timer.lap(Stage::kLoad, mark);
 
     // 4. Energy balance against the storage bank.
     brownout_latch_ = false;
@@ -259,6 +268,7 @@ class Platform {
         if (first_brownout_time_.value() < 0.0) first_brownout_time_ = now;
       }
     }
+    mark = timer.lap(Stage::kStorage, mark);
 
     // 5. Enabled fuel cells refill the ambient-fed stores (System A: the
     //    stack "starts to work when the stored energy coming from the
@@ -280,9 +290,11 @@ class Platform {
       storage_charged_energy_ += (drawn - remaining) * dt;
       wasted_energy_ += remaining * dt;
     }
+    mark = timer.lap(Stage::kFuelCell, mark);
 
     // 6. Leakage.
     for (auto& slot : stores_) ops.apply_leakage(slot.index, *slot.device, dt);
+    timer.lap(Stage::kLeakage, mark);
   }
 
   /// One management tick: monitor poll + policies. Schedule at the

@@ -10,8 +10,7 @@
 // three), and the bit-identical-report guarantee is demonstrated the hard
 // way: the whole campaign is replayed on one worker thread, and every job's
 // to_string(RunResult) must match byte for byte — determinism across
-// scheduling. (The MPP cache has no off switch; test_harvesters and
-// test_campaign compare cached points against freshly built harvesters.)
+// scheduling.
 #include <cstdio>
 #include <memory>
 #include <string>

@@ -73,8 +73,7 @@ class SolarChannel {
   /// Cloud-leave probabilities {from clear, from cloudy}, keyed on dt.
   detail::StepMemo<std::array<double, 2>> leave_p_;
   /// clear_sky's per-day {sin(lat)·sin(decl), cos(lat)·cos(decl)}, keyed on
-  /// the day of year (mutable like the Harvester MPP cache: clear_sky is
-  /// const).
+  /// the day of year (mutable: clear_sky is const).
   mutable detail::StepMemo<std::array<double, 2>> day_terms_;
 };
 

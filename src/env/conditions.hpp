@@ -29,30 +29,19 @@ struct AmbientConditions {
   /// Water flow speed at a micro hydro turbine (MPWiNode scenario).
   MetersPerSecond water_flow{0.0};
 
-  /// Field-wise equality — the cache key test for memoized per-conditions
-  /// quantities (e.g. Harvester::maximum_power_point). Exact double
-  /// comparison on purpose: any numeric drift must invalidate.
+  /// Field-wise exact equality.
   friend bool operator==(const AmbientConditions&,
                          const AmbientConditions&) = default;
 };
 
-/// @p c with every NaN channel replaced by +0.0. A NaN ambient reading is a
-/// sensor artifact, not a physical level — and because NaN != NaN, a NaN
-/// channel would make any conditions-keyed memo (the MPP cache in
-/// harvest::Harvester) compare unequal to itself and recompute every step
-/// while the curve itself got poisoned. Zero is the "channel absent"
-/// convention everywhere else in env.
-[[nodiscard]] inline AmbientConditions sanitized(AmbientConditions c) {
-  const auto fix = [](double v) { return std::isnan(v) ? 0.0 : v; };
-  c.solar_irradiance = WattsPerSquareMeter{fix(c.solar_irradiance.value())};
-  c.illuminance = Lux{fix(c.illuminance.value())};
-  c.wind_speed = MetersPerSecond{fix(c.wind_speed.value())};
-  c.thermal_gradient = Kelvin{fix(c.thermal_gradient.value())};
-  c.vibration_rms = MetersPerSecondSquared{fix(c.vibration_rms.value())};
-  c.vibration_freq = Hertz{fix(c.vibration_freq.value())};
-  c.rf_power_density = WattsPerSquareMeter{fix(c.rf_power_density.value())};
-  c.water_flow = MetersPerSecond{fix(c.water_flow.value())};
-  return c;
+/// @p q, or +0.0 when it is NaN. A NaN ambient reading is a sensor artifact,
+/// not a physical level, and would poison a transducer's curve; zero is the
+/// "channel absent" convention everywhere else in env. Every other value,
+/// -0.0 included, passes through unchanged. Each transducer applies this to
+/// the channels it reads when it latches conditions.
+template <typename Tag>
+[[nodiscard]] Quantity<Tag> sanitized(Quantity<Tag> q) {
+  return std::isnan(q.value()) ? Quantity<Tag>{0.0} : q;
 }
 
 /// @p c with every channel multiplied by @p gain — a uniformly miscalibrated

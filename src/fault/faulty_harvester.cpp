@@ -14,9 +14,6 @@ void FaultyHarvester::transition(Mode next) {
   if (next != mode_) ++transitions_;
   mode_ = next;
   open_this_step_ = false;
-  // The effective curve changed (even a re-applied degrade may carry a new
-  // fraction); never serve a stale operating point.
-  invalidate_mpp_cache();
 }
 
 void FaultyHarvester::degrade(double output_fraction) {
@@ -41,15 +38,10 @@ void FaultyHarvester::do_set_conditions(const env::AmbientConditions& c) {
     case Mode::kDegraded:
       ++faulted_steps_;
       break;
-    case Mode::kIntermittentOpen: {
-      const bool was_open = open_this_step_;
+    case Mode::kIntermittentOpen:
       open_this_step_ = rng_.bernoulli(open_probability_);
       if (open_this_step_) ++faulted_steps_;
-      // An open/close flip swaps the whole curve while the conditions key
-      // (which the base class tracks) is unchanged — invalidate by hand.
-      if (open_this_step_ != was_open) invalidate_mpp_cache();
       break;
-    }
     case Mode::kStuckShort:
       ++faulted_steps_;
       break;

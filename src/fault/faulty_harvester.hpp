@@ -80,11 +80,8 @@ class FaultyHarvester final : public harvest::Harvester {
  protected:
   void do_set_conditions(const env::AmbientConditions& c) override;
 
-  /// The wrapped MPP, derived from the inner harvester's (cached) operating
-  /// point so a fault-free wrapper adds no golden-section work of its own.
-  /// Every fault transition — and every intermittent open/close flip —
-  /// invalidates the base-class cache, which is what keeps cached campaigns
-  /// byte-identical to uncached ones under injected faults.
+  /// The wrapped MPP, derived from the inner harvester's operating point so
+  /// a fault-free wrapper adds no golden-section work of its own.
   [[nodiscard]] harvest::OperatingPoint compute_mpp() const override;
 
  private:

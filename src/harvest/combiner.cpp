@@ -23,12 +23,6 @@ HarvesterKind DiodeOrCombiner::kind() const {
 
 void DiodeOrCombiner::do_set_conditions(const env::AmbientConditions& c) {
   for (auto& s : sources_) s->set_conditions(c);
-  std::uint64_t revision = 0;
-  for (const auto& s : sources_) revision += s->curve_revision();
-  if (revision != sources_revision_) {
-    sources_revision_ = revision;
-    invalidate_mpp_cache();
-  }
 }
 
 std::size_t DiodeOrCombiner::dominant_source() const {

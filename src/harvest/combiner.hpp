@@ -63,10 +63,6 @@ class DiodeOrCombiner final : public Harvester {
   std::string name_;
   std::vector<std::unique_ptr<Harvester>> sources_;
   Volts diode_drop_;
-  // Sum of the sources' curve revisions at the last do_set_conditions():
-  // fault transitions inside a source swap its curve without changing the
-  // ambient-conditions cache key, so the combiner tracks revisions itself.
-  std::uint64_t sources_revision_{0};
 };
 
 }  // namespace msehsim::harvest

@@ -7,16 +7,12 @@
 // tracks the knee, a fixed-point circuit sits where it was told to
 // (the System A vs System B contrast in Sec. II.1 of the survey).
 //
-// maximum_power_point() is memoized on the base class, keyed on the last
-// conditions applied through set_conditions(): re-applying identical
-// conditions (or re-querying within one step) reuses the cached operating
-// point, while any changed field recomputes. set_conditions() is therefore a
-// non-virtual template-method: subclasses latch state in do_set_conditions()
-// and call invalidate_mpp_cache() whenever their curve changes for reasons
-// the conditions key cannot see (fault-mode transitions in
-// fault::FaultyHarvester). A Harvester is NOT thread-safe — the cache is
-// plain mutable state; concurrent simulations must each own their harvesters
-// (see campaign::Campaign, which builds one platform per job).
+// set_conditions() is a non-virtual template method over
+// do_set_conditions(): each transducer latches the channels it reads, with
+// a NaN reading taken as +0.0 ("channel absent", env::sanitized).
+// maximum_power_point() solves on every call. A Harvester is NOT
+// thread-safe; concurrent simulations must each own their harvesters (see
+// campaign::Campaign, which builds one platform per job).
 #pragma once
 
 #include <cstdint>
@@ -74,22 +70,10 @@ class Harvester {
   [[nodiscard]] virtual HarvesterKind kind() const = 0;
 
   /// Latches the ambient conditions for the current timestep. Non-virtual:
-  /// normalizes NaN channels to +0.0 (a NaN key never equals itself, so it
-  /// would defeat the memo and poison the curve — see env::sanitized),
-  /// manages the MPP cache key, then dispatches to do_set_conditions().
-  ///
-  /// Defined inline (batch-friendly query path): when called through a
-  /// pointer to a final subclass — as the batched lane kernel's typed chain
-  /// step does — the do_set_conditions dispatch devirtualizes.
-  void set_conditions(const env::AmbientConditions& c) {
-    const env::AmbientConditions clean = env::sanitized(c);
-    if (!mpp_key_set_ || !(clean == mpp_key_)) {
-      invalidate_mpp_cache();
-      mpp_key_ = clean;
-      mpp_key_set_ = true;
-    }
-    do_set_conditions(clean);
-  }
+  /// defined inline so that, called through a pointer to a final subclass —
+  /// as the batched lane kernel's typed chain step does — the
+  /// do_set_conditions dispatch devirtualizes.
+  void set_conditions(const env::AmbientConditions& c) { do_set_conditions(c); }
 
   /// DC current the harvester sources into terminal voltage @p v under the
   /// latched conditions. Non-negative (input conditioning always includes
@@ -103,19 +87,15 @@ class Harvester {
   [[nodiscard]] Watts power_at(Volts v) const { return v * current_at(v); }
 
   /// True maximum power point under the latched conditions (numeric oracle;
-  /// MPPT controllers in src/power approximate this online). Memoized per
-  /// applied conditions; the cached point is byte-identical to a fresh
-  /// compute_mpp() because identical conditions define an identical curve.
+  /// MPPT controllers in src/power approximate this online), solved on every
+  /// call.
   ///
-  /// Defined inline (batch-friendly query path): the memo probe costs a
-  /// flag check instead of a function call, and through a final-subclass
-  /// pointer the compute_mpp miss path becomes a direct call.
+  /// Defined inline: through a final-subclass pointer the compute_mpp solve
+  /// becomes a direct (and typically inlined) call.
   [[nodiscard]] OperatingPoint maximum_power_point() const {
-    if (mpp_valid_) {
-      ++mpp_hits_;
-      return mpp_cache_;
-    }
-    return recompute_mpp();
+    OBS_SPAN_SAMPLED("harvest.mpp_solve", "harvest");
+    ++mpp_recomputes_;
+    return compute_mpp();
   }
 
   /// Exact Thevenin equivalent of the current curve under the latched
@@ -138,21 +118,13 @@ class Harvester {
   /// plain MPP.
   [[nodiscard]] virtual OperatingPoint shifted_mpp(Volts shift) const;
 
-  /// Monotone count of curve changes: bumped whenever the latched conditions
-  /// change and whenever invalidate_mpp_cache() fires (fault-mode
-  /// transitions, intermittent flips, hot-swaps). Composites such as
-  /// DiodeOrCombiner watch their sources' revisions to drop their own cached
-  /// MPP on changes their conditions key cannot see.
-  [[nodiscard]] std::uint64_t curve_revision() const { return curve_revision_; }
-
-  // ---- MPP cache instrumentation ------------------------------------------
-
-  /// Times maximum_power_point() was answered from the cache / recomputed.
-  [[nodiscard]] std::uint64_t mpp_cache_hits() const { return mpp_hits_; }
+  /// Calls of maximum_power_point(), each a solve. (The published
+  /// mpp_cache_hits counter beside it is always 0: there is no MPP cache.)
   [[nodiscard]] std::uint64_t mpp_recomputes() const { return mpp_recomputes_; }
 
  protected:
-  /// Subclass hook: latch whatever internal curve state @p c implies.
+  /// Subclass hook: latch whatever internal curve state @p c implies. Each
+  /// transducer reads its own channels through env::sanitized.
   virtual void do_set_conditions(const env::AmbientConditions& c) = 0;
 
   /// Computes the MPP from scratch. The default runs a golden-section search
@@ -161,33 +133,8 @@ class Harvester {
   /// 80-iteration search on the hot path).
   [[nodiscard]] virtual OperatingPoint compute_mpp() const;
 
-  /// Drops the cached MPP. For curve changes invisible to the conditions
-  /// key — fault-mode transitions, hot-swapped internals.
-  void invalidate_mpp_cache() const {
-    mpp_valid_ = false;
-    ++curve_revision_;
-  }
-
  private:
-  /// Cold half of maximum_power_point(): span-sampled solve + cache fill.
-  /// Inline: conditions change every step in trace-driven runs, so this IS
-  /// the per-lane-per-step path, and inlining it at a final-subclass call
-  /// site devirtualizes (and typically inlines) the compute_mpp solve too.
-  [[nodiscard]] OperatingPoint recompute_mpp() const {
-    OBS_SPAN_SAMPLED("harvest.mpp_solve", "harvest");
-    mpp_cache_ = compute_mpp();
-    mpp_valid_ = true;
-    ++mpp_recomputes_;
-    return mpp_cache_;
-  }
-
-  mutable OperatingPoint mpp_cache_;
-  mutable bool mpp_valid_{false};
-  mutable std::uint64_t curve_revision_{0};
-  mutable std::uint64_t mpp_hits_{0};
   mutable std::uint64_t mpp_recomputes_{0};
-  bool mpp_key_set_{false};
-  env::AmbientConditions mpp_key_;
 };
 
 /// Exact MPP of a plain Thevenin curve: V* = Voc/2. The operating current is

@@ -23,10 +23,11 @@ namespace {
 
 // Bounded memo of a pure function of K doubles, keyed on their bit patterns
 // (so +0.0 and -0.0 are different keys, and a hit returns exactly what a
-// fresh evaluation would). N entries, replaced round-robin. Instances are
-// thread_local: panels with identical curves on one thread share solves (a
-// platform's twin arrays, the same panel on several platforms stepping the
-// same trace sample), and no state crosses threads.
+// fresh evaluation would). N entries, replaced round-robin. The one instance
+// (PvPanel::compute_mpp) is thread_local: panels with identical curves on
+// one thread share solves (a platform's twin arrays, the same panel on
+// several platforms stepping the same trace sample), and no state crosses
+// threads.
 template <std::size_t N, std::size_t K, typename Value>
 class BitKeyMemo {
  public:
@@ -76,26 +77,18 @@ double PvPanel::thermal_voltage() const {
 }
 
 void PvPanel::do_set_conditions(const env::AmbientConditions& c) {
-  double g = c.solar_irradiance.value();
-  if (params_.indoor) {
-    g = c.illuminance.value() / params_.lux_per_wm2 * params_.indoor_derating;
-  }
+  const double g = params_.indoor ? env::sanitized(c.illuminance).value() /
+                                        params_.lux_per_wm2 *
+                                        params_.indoor_derating
+                                  : env::sanitized(c.solar_irradiance).value();
   photo_current_ = Amps{params_.isc_stc.value() * std::max(0.0, g) / 1000.0};
 }
 
 Amps PvPanel::current_at(Volts v) const {
   if (v.value() < 0.0) return Amps{0.0};
-  // The result depends on nothing but these four inputs (see BitKeyMemo).
-  const double vt = thermal_voltage();
-  const BitKeyMemo<8, 4, double>::Key key{
-      bits(v.value()), bits(photo_current_.value()),
-      bits(saturation_current_.value()), bits(vt)};
-  thread_local BitKeyMemo<8, 4, double> memo;
-  if (const double* hit = memo.find(key)) return Amps{*hit};
-  const double diode = saturation_current_.value() * std::expm1(v.value() / vt);
-  const double current = std::max(0.0, photo_current_.value() - diode);
-  memo.insert(key, current);
-  return Amps{current};
+  const double diode =
+      saturation_current_.value() * std::expm1(v.value() / thermal_voltage());
+  return Amps{std::max(0.0, photo_current_.value() - diode)};
 }
 
 Volts PvPanel::open_circuit_voltage() const {
@@ -116,8 +109,8 @@ OperatingPoint PvPanel::compute_mpp() const {
   //
   // The solve reads only the photo current, the saturation current and the
   // thermal voltage, so it is memoized on their bit patterns (BitKeyMemo).
-  // This sits below Harvester::recompute_mpp: the per-object MPP cache and
-  // its hit/recompute counters are unaffected.
+  // The memo sits below Harvester::maximum_power_point, whose recompute
+  // counter still counts every call.
   const double vt = thermal_voltage();
   const BitKeyMemo<4, 3, OperatingPoint>::Key key{
       bits(photo_current_.value()), bits(saturation_current_.value()),
@@ -203,7 +196,8 @@ WindTurbine WindTurbine::water_turbine(std::string name) {
 }
 
 void WindTurbine::do_set_conditions(const env::AmbientConditions& c) {
-  latch_speed(kind_ == HarvesterKind::kWaterFlow ? c.water_flow : c.wind_speed);
+  latch_speed(env::sanitized(kind_ == HarvesterKind::kWaterFlow ? c.water_flow
+                                                                : c.wind_speed));
 }
 
 void WindTurbine::latch_speed(MetersPerSecond speed) {
@@ -362,7 +356,7 @@ AcDcSource::AcDcSource(std::string name, Params params)
 }
 
 void AcDcSource::do_set_conditions(const env::AmbientConditions& c) {
-  energized_ = c.vibration_rms >= params_.machinery_threshold;
+  energized_ = env::sanitized(c.vibration_rms) >= params_.machinery_threshold;
 }
 
 Amps AcDcSource::current_at(Volts v) const {

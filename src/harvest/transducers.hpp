@@ -119,8 +119,7 @@ class Teg final : public Harvester {
   Teg(std::string name, Params params);
 
   // The conditions -> curve -> MPP sequence runs once per lane per step in
-  // trace-driven runs (linear curve, so the MPP memo misses whenever the
-  // gradient moves); defined inline so a devirtualized call site pays
+  // trace-driven runs; defined inline so a devirtualized call site pays
   // straight-line math instead of three call hops.
   [[nodiscard]] std::string_view name() const override { return name_; }
   [[nodiscard]] HarvesterKind kind() const override {
@@ -140,7 +139,7 @@ class Teg final : public Harvester {
 
  protected:
   void do_set_conditions(const env::AmbientConditions& c) override {
-    const double dt = std::max(0.0, c.thermal_gradient.value());
+    const double dt = std::max(0.0, env::sanitized(c.thermal_gradient).value());
     source_ =
         TheveninSource{params_.seebeck_per_kelvin * dt, params_.internal_resistance};
   }
@@ -193,8 +192,8 @@ class VibrationHarvester final : public Harvester {
 
  protected:
   void do_set_conditions(const env::AmbientConditions& c) override {
-    const double a = c.vibration_rms.value();
-    const double f = c.vibration_freq.value();
+    const double a = env::sanitized(c.vibration_rms).value();
+    const double f = env::sanitized(c.vibration_freq).value();
     if (a <= 0.0 || f <= 0.0) {
       source_ = TheveninSource{Volts{0.0}, Ohms{1.0}};
       return;
@@ -271,7 +270,7 @@ class RfHarvester final : public Harvester {
  protected:
   void do_set_conditions(const env::AmbientConditions& c) override {
     const Watts incident =
-        Watts{c.rf_power_density.value() * params_.aperture_m2};
+        Watts{env::sanitized(c.rf_power_density).value() * params_.aperture_m2};
     if (incident < params_.sensitivity) {
       source_ = TheveninSource{Volts{0.0}, Ohms{1.0}};
       return;

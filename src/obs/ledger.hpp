@@ -39,7 +39,10 @@ struct SourceRow {
   double tracker_overhead_j{0.0}; ///< MPPT overhead actually paid
   double delivered_j{0.0};        ///< landed on the bus
   double share{0.0};  ///< delivered / total delivered (0 when nothing flowed)
-  std::uint64_t mpp_cache_hits{0};   ///< this harvester's MPP memoization
+  /// Always 0: there is no MPP cache. Kept so the ledger text, the JSON
+  /// export and the metrics keep their fields.
+  std::uint64_t mpp_cache_hits{0};
+  /// Calls of this harvester's maximum_power_point(), each a solve.
   std::uint64_t mpp_recomputes{0};
 };
 

@@ -17,6 +17,9 @@ InputChain::InputChain(std::unique_ptr<harvest::Harvester> harvester,
   require_spec(harvester_ != nullptr, "InputChain requires a harvester");
   require_spec(mppt_ != nullptr, "InputChain requires an operating-point controller");
   require_spec(mppt_period_.value() > 0.0, "MPPT period must be > 0");
+  update_overhead_ = mppt_->overhead_per_update();
+  update_interruption_ = mppt_->harvest_interruption();
+  overhead_rate_ = update_overhead_.value() / mppt_period_.value();
 }
 
 std::unique_ptr<harvest::Harvester> InputChain::replace_harvester(

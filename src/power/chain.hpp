@@ -72,16 +72,15 @@ class InputChain {
       if (sense_gain_ != 1.0) {
         // Drifted sensing: the tracker sees a skewed environment, picks its
         // setpoint on the wrong curve, then the true conditions come back for
-        // the physics below. Each swap goes through set_conditions, so the
-        // curve revision bumps and conditions-keyed MPP memos invalidate.
+        // the physics below.
         h.set_conditions(env::scaled(conditions, sense_gain_));
         operating_voltage_ = mppt_->update(h, operating_voltage_);
         h.set_conditions(conditions);
       } else {
         operating_voltage_ = mppt_->update(h, operating_voltage_);
       }
-      overhead_ += mppt_->overhead_per_update();
-      interruption = mppt_->harvest_interruption();
+      overhead_ += update_overhead_;
+      interruption = update_interruption_;
       next_update_ = now + mppt_period_;
       mark = timer.lap(Stage::kTracker, mark);
     }
@@ -105,18 +104,18 @@ class InputChain {
       timer.lap(Stage::kMppOracle, mark);
       return Watts{0.0};
     }
-    // A Voc sample interrupts harvesting for part of the step.
-    const double duty =
-        std::clamp(1.0 - interruption.value() / dt.value(), 0.0, 1.0);
-    const Watts effective = transducer_power_ * duty;
+    // A Voc sample interrupts harvesting for part of the step. 1 - 0/dt is
+    // exactly 1, so a step without one skips the division.
+    Watts effective = transducer_power_;
+    if (interruption.value() != 0.0)
+      effective = transducer_power_ *
+                  std::clamp(1.0 - interruption.value() / dt.value(), 0.0, 1.0);
 
     const Watts out =
         converter_.transfer(effective, operating_voltage_, bus_voltage) *
         droop_factor_;
     // Tracker overhead is paid from the bus, amortized over this step.
-    const double overhead_now =
-        mppt_->overhead_per_update().value() / mppt_period_.value();
-    const Watts net{std::max(0.0, out.value() - overhead_now)};
+    const Watts net{std::max(0.0, out.value() - overhead_rate_)};
     delivered_ += net * dt;
     conversion_loss_ += (effective - out) * dt;
     overhead_paid_ += (out - net) * dt;
@@ -194,10 +193,8 @@ class InputChain {
   /// view of the environment is the true conditions scaled by @p gain, while
   /// the transducer physics keeps the true curve — so the controller chases
   /// the wrong operating point and tracking_efficiency() records the loss.
-  /// Swapping the harvester's latched conditions for the tracker update goes
-  /// through Harvester::set_conditions, so curve_revision() bumps and stale
-  /// MPP caches drop. 1.0 heals (and is byte-identical to the unfaulted
-  /// path: no extra set_conditions calls are made).
+  /// 1.0 heals (and is byte-identical to the unfaulted path: no extra
+  /// set_conditions calls are made).
   void set_sense_gain(double gain);
   [[nodiscard]] double sense_gain() const { return sense_gain_; }
 
@@ -206,6 +203,12 @@ class InputChain {
   std::unique_ptr<MpptController> mppt_;
   Converter converter_;
   Seconds mppt_period_;
+  // The tracker's constants (a controller is never replaced): energy and
+  // harvest time per update, and the per-second overhead amortized over
+  // every step.
+  Joules update_overhead_{0.0};
+  Seconds update_interruption_{0.0};
+  double overhead_rate_{0.0};
   Seconds next_update_{0.0};
   Volts operating_voltage_{0.5};
   Watts transducer_power_{0.0};

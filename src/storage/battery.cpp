@@ -89,14 +89,29 @@ Joules Battery::stored_energy() const {
   const StateKey key = state_key();
   if (energy_.holds(key)) return Joules{energy_.value};
   // Integrate OCV over the remaining charge (trapezoid over the PWL curve).
+  // The slice midpoints never fall, so the OCV segment is found by walking
+  // forward from the last slice's instead of rescanning the breakpoints:
+  // ocv_at's interp_clamped, with the same arithmetic.
   const double soc = soc_now();
   const double full = effective_full_charge().value();
   const double steps = kEnergySlices;
+  const double* xs = kSocBreaks.data();
+  const double* ys = params_.ocv_curve.data();
+  constexpr std::size_t last = kSocBreaks.size() - 1;
+  std::size_t seg = 1;
   double energy = 0.0;
   for (int i = 0; i < kEnergySlices; ++i) {
     const double s0 = soc * i / steps;
     const double s1 = soc * (i + 1) / steps;
-    const double v_mid = ocv_at(0.5 * (s0 + s1)).value();
+    const double x = std::clamp(0.5 * (s0 + s1), 0.0, 1.0);
+    double v_mid = ys[last];  // x at the top breakpoint, or NaN
+    if (x <= xs[0]) {
+      v_mid = ys[0];
+    } else if (x < xs[last]) {
+      while (!(x <= xs[seg])) ++seg;
+      const double t = (x - xs[seg - 1]) / (xs[seg] - xs[seg - 1]);
+      v_mid = ys[seg - 1] + t * (ys[seg] - ys[seg - 1]);
+    }
     energy += v_mid * (s1 - s0) * full;
   }
   energy_ = {key, true, energy};

@@ -110,7 +110,6 @@ obs::EnergyLedger collect_ledger(Platform& platform, Joules initial_stored,
     row.conversion_loss_j = chain.conversion_loss_energy().value();
     row.tracker_overhead_j = chain.tracker_paid_energy().value();
     row.delivered_j = chain.delivered_energy().value();
-    row.mpp_cache_hits = chain.harvester().mpp_cache_hits();
     row.mpp_recomputes = chain.harvester().mpp_recomputes();
     ledger.transducer_j += row.transducer_j;
     ledger.conversion_loss_j += row.conversion_loss_j;

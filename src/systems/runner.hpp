@@ -104,8 +104,10 @@ struct RunResult {
   Joules final_stored{0.0};
   /// Simulation time of the first brownout; -1 when none occurred.
   double time_to_first_brownout_s{-1.0};
-  /// MPP memoization counters summed over the platform's input chains
-  /// (per-chain values are in ledger.sources).
+  /// MPP counters summed over the platform's input chains (per-chain values
+  /// are in ledger.sources). mpp_recomputes counts maximum_power_point()
+  /// calls, each a solve; mpp_cache_hits is always 0, since there is no MPP
+  /// cache, and stays so the exports keep their fields.
   std::uint64_t mpp_cache_hits{0};
   std::uint64_t mpp_recomputes{0};
   FaultReport faults;

@@ -156,15 +156,13 @@ TEST(Campaign, FaultedRunsByteIdenticalAcrossThreadCounts) {
 }
 
 TEST(Campaign, CachedMppMatchesFreshHarvestersUnderFaults) {
-  // The per-object MPP cache has no off switch; its contract is that every
-  // cached point equals a fresh solve. Drive the faulted grid's platform by
-  // hand through its fault timeline (intermittent from 600 s, healed at
-  // 3600 s, stuck short from 5400 s), shifted to midday so the panel is lit,
-  // and after every step compare the wrapper's cached MPP — the chain
-  // already queried it during the step — against a panel built fresh for
-  // that step under the same conditions. Each ambient sample is held for
-  // four steps, so the cache also answers across steps and must notice
-  // fault flips under unchanged conditions.
+  // A long-lived faulted wrapper must answer every MPP query as a fresh
+  // panel would. Drive the faulted grid's platform by hand through its fault
+  // timeline (intermittent from 600 s, healed at 3600 s, stuck short from
+  // 5400 s), shifted to midday so the panel is lit, and after every step
+  // compare the wrapper's MPP against a panel built fresh for that step
+  // under the same conditions. Each ambient sample is held for four steps,
+  // so fault flips under unchanged conditions must show too.
   auto platform = mini_platform();
   power::InputChain& chain = platform->input(0);
   auto wrapper = std::make_unique<fault::FaultyHarvester>(
@@ -203,14 +201,14 @@ TEST(Campaign, CachedMppMatchesFreshHarvestersUnderFaults) {
   }
   EXPECT_EQ(lit_steps, 1440);
   EXPECT_GT(faulty.faulted_steps(), 0u);
-  EXPECT_GT(faulty.mpp_cache_hits(), 0u);
 
-  // In the campaign itself the cache serves every job; the reports' thread
-  // invariance is FaultedRunsByteIdenticalAcrossThreadCounts.
+  // In the campaign itself every job solves; the published hit counter has
+  // no cache behind it and reads 0. The reports' thread invariance is
+  // FaultedRunsByteIdenticalAcrossThreadCounts.
   Campaign campaign(faulted_grid(2));
   campaign.run();
   for (const auto& job : campaign.results()) {
-    EXPECT_GT(job.result.mpp_cache_hits, 0u);
+    EXPECT_EQ(job.result.mpp_cache_hits, 0u);
     EXPECT_GT(job.result.mpp_recomputes, 0u);
   }
 }

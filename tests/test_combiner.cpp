@@ -201,8 +201,7 @@ TEST(DiodeOrMpp, FaultedSourceTransitionInvalidatesMppCache) {
   ASSERT_GT(before.p.value(), 0.0);
 
   // Degrade the wrapped source between two identical-conditions steps: the
-  // combiner's conditions key does not change, so only the source-revision
-  // tracking can drop the stale cached point.
+  // combiner's MPP must follow the source's curve, not the conditions.
   handle->degrade(0.25);
   combiner.set_conditions(c);
   const auto degraded = combiner.maximum_power_point();
@@ -212,8 +211,8 @@ TEST(DiodeOrMpp, FaultedSourceTransitionInvalidatesMppCache) {
   const auto golden = combiner.golden_section_mpp();
   EXPECT_NEAR(degraded.p.value() / golden.p.value(), 1.0, 1e-9);
 
-  // Healing is a transition too — the cache must not serve the degraded
-  // point, and the recomputed one is bit-identical to the original.
+  // Healing is a transition too: the point is bit-identical to the
+  // original again.
   handle->heal();
   combiner.set_conditions(c);
   const auto healed = combiner.maximum_power_point();

@@ -137,8 +137,8 @@ TEST(FaultyHarvester, RejectsBadFractions) {
 }
 
 TEST(FaultyHarvester, TransitionInvalidatesMppCache) {
-  // The conditions key never changes here, so only the explicit
-  // invalidate-on-transition hook keeps the cached MPP honest.
+  // The conditions never change here: each fault transition alone must move
+  // the MPP, and each query is one solve.
   FaultyHarvester wrapped(pv(), kSeed);
   wrapped.set_conditions(sunny());
   const auto healthy = wrapped.maximum_power_point();
@@ -169,7 +169,7 @@ TEST(FaultyHarvester, DegradationLevelChangeInvalidatesMppCache) {
 
 TEST(FaultyHarvester, IntermittentOpenCloseFlipsInvalidateMppCache) {
   // p = 1: every step is open, so the first step after enabling the fault
-  // must flip the cached healthy MPP to zero even though conditions repeat.
+  // must flip the healthy MPP to zero even though conditions repeat.
   FaultyHarvester wrapped(pv(), kSeed);
   wrapped.set_conditions(sunny());
   EXPECT_GT(wrapped.maximum_power_point().p.value(), 0.0);

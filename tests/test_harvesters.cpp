@@ -2,6 +2,7 @@
 // physical-invariant sweeps.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -9,11 +10,14 @@
 #include <latch>
 #include <limits>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "core/error.hpp"
 #include "core/solve.hpp"
+#include "fault/faulty_harvester.hpp"
+#include "harvest/combiner.hpp"
 #include "harvest/transducers.hpp"
 
 namespace msehsim::harvest {
@@ -101,12 +105,9 @@ TEST(PvPanel, CurrentMonotoneNonIncreasingInVoltage) {
   }
 }
 
-TEST(PvPanel, NanConditionsNeitherThrashTheMppCacheNorPoisonTheCurve) {
-  // NaN != NaN, so an unsanitized NaN channel would make the memo key
-  // compare unequal to itself: every repeated set_conditions would
-  // invalidate, every maximum_power_point would recompute (hit counter
-  // flat), and the NaN would flow into the curve. set_conditions must
-  // normalize NaN channels to +0.0 — "channel absent" — before keying.
+TEST(PvPanel, NanConditionsNeverPoisonTheCurve) {
+  // A NaN reading in the channel a transducer reads is taken as +0.0,
+  // "channel absent", so it can never flow into the curve.
   PvPanel pv("pv", {});
   env::AmbientConditions nan_sun;
   nan_sun.solar_irradiance =
@@ -116,16 +117,6 @@ TEST(PvPanel, NanConditionsNeitherThrashTheMppCacheNorPoisonTheCurve) {
   const auto first = pv.maximum_power_point();
   EXPECT_FALSE(std::isnan(first.p.value()));
   EXPECT_FALSE(std::isnan(first.v.value()));
-  const auto recomputes_after_first = pv.mpp_recomputes();
-
-  // Re-applying the identical NaN conditions must key as identical: no
-  // further recomputes, hits climbing instead.
-  for (int i = 0; i < 5; ++i) {
-    pv.set_conditions(nan_sun);
-    (void)pv.maximum_power_point();
-  }
-  EXPECT_EQ(pv.mpp_recomputes(), recomputes_after_first);
-  EXPECT_GE(pv.mpp_cache_hits(), 5u);
 
   // A NaN channel means "absent", so the curve equals the zero-input curve.
   pv.set_conditions(sunny(0.0));
@@ -477,33 +468,30 @@ INSTANTIATE_TEST_SUITE_P(AllHarvesters, HarvesterInvariants,
 // MPP memoization (conditions-keyed cache on the Harvester base)
 // ---------------------------------------------------------------------------
 
-TEST(MppCache, IdenticalConditionsReuseTheCachedPoint) {
+TEST(MppCache, RepeatedQueriesSolveTheSamePoint) {
+  // There is no MPP cache: every query solves, mpp_recomputes() counts each
+  // one, and equal conditions give the same bits every time.
   PvPanel pv("pv", PvPanel::Params{});
   pv.set_conditions(sunny());
   EXPECT_EQ(pv.mpp_recomputes(), 0u);
 
   const auto first = pv.maximum_power_point();
   EXPECT_EQ(pv.mpp_recomputes(), 1u);
-  EXPECT_EQ(pv.mpp_cache_hits(), 0u);
 
   const auto again = pv.maximum_power_point();
-  EXPECT_EQ(pv.mpp_recomputes(), 1u);
-  EXPECT_EQ(pv.mpp_cache_hits(), 1u);
+  EXPECT_EQ(pv.mpp_recomputes(), 2u);
   EXPECT_EQ(again.v.value(), first.v.value());
   EXPECT_EQ(again.i.value(), first.i.value());
   EXPECT_EQ(again.p.value(), first.p.value());
 
-  // Re-applying *equal* conditions keeps the key and thus the cache.
   pv.set_conditions(sunny());
-  (void)pv.maximum_power_point();
-  EXPECT_EQ(pv.mpp_recomputes(), 1u);
-  EXPECT_EQ(pv.mpp_cache_hits(), 2u);
+  const auto relatched = pv.maximum_power_point();
+  EXPECT_EQ(pv.mpp_recomputes(), 3u);
+  EXPECT_EQ(relatched.p.value(), first.p.value());
 }
 
 TEST(MppCache, AnyChangedConditionsFieldRecomputes) {
-  // The key compares every AmbientConditions field exactly, so mutating any
-  // one of them must miss — even fields this transducer does not read (a
-  // cheap, conservative rule that can never serve a stale curve).
+  // Every query is one solve, whichever field changed between them.
   env::AmbientConditions base = sunny();
   const std::vector<std::function<void(env::AmbientConditions&)>> mutations = {
       [](auto& c) { c.solar_irradiance = WattsPerSquareMeter{801.0}; },
@@ -541,9 +529,8 @@ void expect_same_bits(const OperatingPoint& a, const OperatingPoint& b) {
 }
 
 TEST(MppCache, CachedPointMatchesAFreshPanel) {
-  // The cache has no off switch: its contract is that every answer it gives
-  // equals, bit for bit, what a panel built fresh under the same conditions
-  // computes. Repeated conditions hit; each change recomputes once.
+  // A panel stepped through changing and repeated conditions answers, bit
+  // for bit, what a panel built fresh under the same conditions computes.
   PvPanel cached("pv", PvPanel::Params{});
   for (const double g : {800.0, 800.0, 120.0, 800.0, 0.0, 120.0, 120.0}) {
     cached.set_conditions(sunny(g));
@@ -553,13 +540,12 @@ TEST(MppCache, CachedPointMatchesAFreshPanel) {
     expect_same_bits(cached.maximum_power_point(), want);
     expect_same_bits(cached.maximum_power_point(), want);
   }
-  EXPECT_EQ(cached.mpp_recomputes(), 5u);
-  EXPECT_EQ(cached.mpp_cache_hits(), 9u);
+  EXPECT_EQ(cached.mpp_recomputes(), 14u);
 }
 
-TEST(MppCache, CachesAcrossAllTransducerKinds) {
-  // Every concrete transducer inherits the memoization; two calls under one
-  // set_conditions must cost exactly one compute_mpp.
+TEST(MppCache, CountsOneSolvePerQueryOnAllTransducerKinds) {
+  // Every concrete transducer counts each query as one solve, and two
+  // queries under one set_conditions give the same bits.
   const env::AmbientConditions all = [] {
     env::AmbientConditions c;
     c.solar_irradiance = WattsPerSquareMeter{600.0};
@@ -579,10 +565,9 @@ TEST(MppCache, CachesAcrossAllTransducerKinds) {
   hs.push_back(std::make_unique<RfHarvester>("rf", RfHarvester::Params{}));
   for (auto& h : hs) {
     h->set_conditions(all);
-    (void)h->maximum_power_point();
-    (void)h->maximum_power_point();
-    EXPECT_EQ(h->mpp_recomputes(), 1u) << h->name();
-    EXPECT_EQ(h->mpp_cache_hits(), 1u) << h->name();
+    const OperatingPoint first = h->maximum_power_point();
+    expect_same_bits(h->maximum_power_point(), first);
+    EXPECT_EQ(h->mpp_recomputes(), 2u) << h->name();
   }
 }
 
@@ -598,9 +583,9 @@ double golden_shifted_power(const Harvester& h, double s) {
 }
 
 // ---- PV curve memo ---------------------------------------------------------
-// PvPanel::compute_mpp and current_at share bounded thread_local memos keyed
-// on the bit patterns of every input they read, so identical panels on one
-// thread solve each curve once. Every answer must equal a fresh solve.
+// PvPanel::compute_mpp keeps a bounded thread_local memo keyed on the bit
+// patterns of every input it reads, so identical panels on one thread solve
+// each curve once. Every answer must equal a fresh solve.
 
 /// Panels with identical curves (0/1 and 3/4) and five distinct ones, more
 /// than the MPP memo holds, so the memo both hits and evicts.
@@ -678,7 +663,7 @@ auto on_fresh_thread(F f) {
 
 /// The samples interleaved_samples() must produce, each query answered by a
 /// panel built for it alone on a thread that has never solved a curve — so
-/// neither the per-object MPP cache nor the curve memos can answer.
+/// the curve memo cannot answer.
 std::vector<CurveSample> fresh_samples() {
   const auto params = memo_panel_params();
   std::vector<CurveSample> out;
@@ -803,14 +788,159 @@ TEST(TheveninEquivalent, LinearSourcesExposeExactSource) {
   EXPECT_DOUBLE_EQ(off->voc.value(), 0.0);
 }
 
-TEST(CurveRevision, BumpsOnConditionChangeNotOnRepeat) {
-  Teg teg("teg", {});
-  teg.set_conditions(hot(10.0));
-  const auto r1 = teg.curve_revision();
-  teg.set_conditions(hot(10.0));  // identical key: no bump
-  EXPECT_EQ(teg.curve_revision(), r1);
-  teg.set_conditions(hot(12.0));  // curve changed
-  EXPECT_GT(teg.curve_revision(), r1);
+// ---- Per-channel NaN contract ----------------------------------------------
+// Each transducer sanitizes only the channels it reads when it latches
+// conditions: a NaN there reads as +0.0, a NaN anywhere else changes
+// nothing, and -0.0 passes through as itself.
+
+TEST(Sanitized, MapsOnlyNanToPositiveZero) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(env::sanitized(Lux{nan}).value()),
+            std::bit_cast<std::uint64_t>(0.0));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(env::sanitized(Lux{-0.0}).value()),
+            std::bit_cast<std::uint64_t>(-0.0));
+  EXPECT_EQ(env::sanitized(Kelvin{-3.5}).value(), -3.5);
+  EXPECT_EQ(env::sanitized(Hertz{std::numeric_limits<double>::infinity()})
+                .value(),
+            std::numeric_limits<double>::infinity());
+}
+
+/// Sets channel @p k (AmbientConditions declaration order) to @p v.
+void set_channel(env::AmbientConditions& c, int k, double v) {
+  switch (k) {
+    case 0: c.solar_irradiance = WattsPerSquareMeter{v}; break;
+    case 1: c.illuminance = Lux{v}; break;
+    case 2: c.wind_speed = MetersPerSecond{v}; break;
+    case 3: c.thermal_gradient = Kelvin{v}; break;
+    case 4: c.vibration_rms = MetersPerSecondSquared{v}; break;
+    case 5: c.vibration_freq = Hertz{v}; break;
+    case 6: c.rf_power_density = WattsPerSquareMeter{v}; break;
+    default: c.water_flow = MetersPerSecond{v}; break;
+  }
+}
+
+/// Every channel live, so each transducer below has a curve.
+env::AmbientConditions all_channels() {
+  env::AmbientConditions c;
+  c.solar_irradiance = WattsPerSquareMeter{600.0};
+  c.illuminance = Lux{40000.0};
+  c.wind_speed = MetersPerSecond{6.0};
+  c.thermal_gradient = Kelvin{12.0};
+  c.vibration_rms = MetersPerSecondSquared{2.0};
+  c.vibration_freq = Hertz{50.5};
+  c.rf_power_density = WattsPerSquareMeter{1e-3};
+  c.water_flow = MetersPerSecond{1.5};
+  return c;
+}
+
+/// The bits of a harvester's curve: Voc, the MPP, and currents from 0 V past
+/// every transducer's open-circuit voltage.
+std::vector<std::uint64_t> curve_bits(Harvester& h,
+                                      const env::AmbientConditions& c) {
+  h.set_conditions(c);
+  const OperatingPoint mpp = h.maximum_power_point();
+  std::vector<std::uint64_t> out{
+      std::bit_cast<std::uint64_t>(h.open_circuit_voltage().value()),
+      std::bit_cast<std::uint64_t>(mpp.v.value()),
+      std::bit_cast<std::uint64_t>(mpp.i.value()),
+      std::bit_cast<std::uint64_t>(mpp.p.value())};
+  for (double v = 0.0; v <= 12.0; v += 0.125)
+    out.push_back(std::bit_cast<std::uint64_t>(h.current_at(Volts{v}).value()));
+  return out;
+}
+
+struct NanCase {
+  const char* name;
+  std::function<std::unique_ptr<Harvester>()> make;
+  std::vector<int> reads;  ///< channel indices the harvester reads
+};
+
+std::vector<NanCase> nan_cases() {
+  const auto pv_indoor = [] {
+    PvPanel::Params p;
+    p.indoor = true;
+    return std::make_unique<PvPanel>("pvi", p);
+  };
+  return {
+      {"pv", [] { return std::make_unique<PvPanel>("pv", PvPanel::Params{}); },
+       {0}},
+      {"pv-indoor", pv_indoor, {1}},
+      {"wind",
+       [] { return std::make_unique<WindTurbine>("w", WindTurbine::Params{}); },
+       {2}},
+      {"water",
+       [] {
+         return std::make_unique<WindTurbine>(
+             WindTurbine::water_turbine("water"));
+       },
+       {7}},
+      {"teg", [] { return std::make_unique<Teg>("t", Teg::Params{}); }, {3}},
+      {"piezo",
+       [] {
+         return std::make_unique<VibrationHarvester>(
+             VibrationHarvester::piezo("pz"));
+       },
+       {4, 5}},
+      {"inductive",
+       [] {
+         return std::make_unique<VibrationHarvester>(
+             VibrationHarvester::electromagnetic("em"));
+       },
+       {4, 5}},
+      {"rf", [] { return std::make_unique<RfHarvester>("rf", RfHarvester::Params{}); },
+       {6}},
+      {"acdc", [] { return std::make_unique<AcDcSource>("ac", AcDcSource::Params{}); },
+       {4}},
+      {"faulty-pv",
+       [] {
+         auto f = std::make_unique<fault::FaultyHarvester>(
+             std::make_unique<PvPanel>("pv", PvPanel::Params{}), 7);
+         f->degrade(0.5);
+         return f;
+       },
+       {0}},
+      {"diode-or",
+       [] {
+         std::vector<std::unique_ptr<Harvester>> sources;
+         sources.push_back(std::make_unique<PvPanel>("pv", PvPanel::Params{}));
+         sources.push_back(
+             std::make_unique<WindTurbine>("w", WindTurbine::Params{}));
+         sources.push_back(std::make_unique<Teg>("t", Teg::Params{}));
+         return std::make_unique<DiodeOrCombiner>("or", std::move(sources));
+       },
+       {0, 2, 3}},
+  };
+}
+
+TEST(NanContract, EachHarvesterSanitizesExactlyTheChannelsItReads) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const env::AmbientConditions base = all_channels();
+  for (const NanCase& nc : nan_cases()) {
+    SCOPED_TRACE(nc.name);
+    const auto live = curve_bits(*nc.make(), base);
+    for (int k = 0; k < 8; ++k) {
+      SCOPED_TRACE("channel " + std::to_string(k));
+      const bool reads =
+          std::find(nc.reads.begin(), nc.reads.end(), k) != nc.reads.end();
+      env::AmbientConditions zero = base;
+      set_channel(zero, k, 0.0);
+      env::AmbientConditions negzero = base;
+      set_channel(negzero, k, -0.0);
+      env::AmbientConditions poisoned = base;
+      set_channel(poisoned, k, nan);
+      const auto at_zero = curve_bits(*nc.make(), zero);
+      // The declared channel set is the real one: zeroing a read channel
+      // moves the curve, zeroing any other does not.
+      EXPECT_EQ(at_zero != live, reads);
+      EXPECT_EQ(curve_bits(*nc.make(), poisoned), reads ? at_zero : live);
+      EXPECT_EQ(curve_bits(*nc.make(), negzero), at_zero);
+      // The same on one long-lived harvester stepped through all three.
+      auto h = nc.make();
+      EXPECT_EQ(curve_bits(*h, poisoned), reads ? at_zero : live);
+      EXPECT_EQ(curve_bits(*h, base), live);
+      EXPECT_EQ(curve_bits(*h, negzero), at_zero);
+    }
+  }
 }
 
 TEST(HarvesterKindNames, Coverage) {

@@ -702,6 +702,43 @@ TEST(BatteryMemo, FaultHealthIsPartOfTheStateKey) {
 // Platform::step stops summing max_discharge_power() once the sum covers the
 // demand. That is exact only if every term is >= 0 and never NaN, for every
 // device type, under every operation a run can apply.
+// stored_energy walks the OCV segment forward across its 64 slices instead
+// of rescanning the breakpoints per slice; the result must be the
+// reference's bits on random curves and random charge, throughput and
+// health states.
+TEST(BatteryEnergy, SegmentWalkMatchesTheReferenceBitForBit) {
+  for (const std::uint64_t seed : {1u, 2u, 3u, 20131u}) {
+    Pcg32 rng(seed, stream_key("battery-energy"));
+    for (int cell = 0; cell < 40; ++cell) {
+      Battery::Params p;
+      double v = rng.uniform(0.5, 3.0);
+      for (double& knot : p.ocv_curve) {
+        // Flat segments now and then: equal neighbouring knots.
+        if (rng.next_below(4) != 0) v += rng.uniform(0.0, 0.8);
+        knot = v;
+      }
+      p.rated_capacity = AmpHours{log_uniform(rng, -5.0, 0.5)};
+      p.capacity_fade_per_cycle = rng.next_below(2) == 0 ? 0.0 : rng.uniform(0.0, 0.09);
+      const double socs[] = {0.0, -0.0, 1.0, rng.uniform(0.0, 1.0)};
+      p.initial_soc = socs[rng.next_below(4)];
+      Battery b("walk", p);
+      SCOPED_TRACE("seed " + std::to_string(seed) + " cell " +
+                   std::to_string(cell));
+      for (int op = 0; op < 60; ++op) {
+        const Seconds dt{log_uniform(rng, -1.0, 3.5)};
+        switch (rng.next_below(4)) {
+          case 0: b.charge(Watts{log_uniform(rng, -6.0, 1.0)}, dt); break;
+          case 1: b.discharge(Watts{log_uniform(rng, -6.0, 1.0)}, dt); break;
+          case 2: b.inject_capacity_fade(rng.uniform(0.0, 0.2)); break;
+          default: b.charge(Watts{1e3}, dt); break;
+        }
+        ASSERT_EQ(bits(b.stored_energy().value()),
+                  bits(msehsim::testing::reference_stored_energy(b).value()));
+      }
+    }
+  }
+}
+
 TEST(StorageContract, MaxDischargePowerIsNonNegativeAndNeverNaN) {
   std::vector<std::function<std::unique_ptr<StorageDevice>()>> makers;
   for (const auto& b : memo_batteries())

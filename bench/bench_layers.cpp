@@ -1,10 +1,10 @@
 // Layer attribution — where a lane-step of the paper's workload spends its
 // time, stage by stage.
 //
-//   bench_layers [--seeds N] [--days D] [--reps R]
+//   bench_layers [--seeds N] [--reps R]
 //
 // The grid is the seven Table I platforms x {outdoor, indoor-industrial} x
-// seeds 1..N (default 3), D simulated days (default 1) at dt 5 s: each
+// seeds 1..N (default 3), one simulated day at dt 5 s: each
 // (scenario, seed) trace is compiled once and its seven platforms run as one
 // block of the batched lane kernel (systems::BatchRunner), as a campaign at
 // lane width 8 runs them. Each repetition runs every block twice on freshly
@@ -32,7 +32,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -131,9 +130,8 @@ void row(const char* name, std::uint64_t calls, const std::vector<double>& ns) {
 
 int main(int argc, char** argv) {
   const unsigned seeds = arg_or(argc, argv, "--seeds", 3);
-  const unsigned days = arg_or(argc, argv, "--days", 1);
   const unsigned reps = arg_or(argc, argv, "--reps", 5);
-  const Seconds duration{86400.0 * days};
+  const Seconds duration{86400.0};
 
   std::vector<Block> blocks;
   for (const char* kind : {"outdoor", "indoor-industrial"}) {
@@ -198,8 +196,8 @@ int main(int argc, char** argv) {
 
   std::printf(
       "# bench_layers: Table I A-G x {outdoor, indoor-industrial} x seeds "
-      "1-%u x %u day(s) at dt 5 s, 7 lanes per trace, %u repetition(s)\n",
-      seeds, days, reps);
+      "1-%u x 1 day at dt 5 s, 7 lanes per trace, %u repetition(s)\n",
+      seeds, reps);
   std::printf("# ns per lane-step, quartiles over repetitions; calls per "
               "repetition\n");
   std::printf("stage,calls,ns_q1,ns_median,ns_q3\n");

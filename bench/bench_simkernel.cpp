@@ -307,6 +307,53 @@ BENCHMARK(BM_Campaign_Batched)
     ->Arg(16)
     ->Unit(benchmark::kMillisecond);
 
+/// The paper's own grid: the seven Table I platforms x {outdoor,
+/// indoor-industrial} x seeds 1-3, one simulated day each at dt 5 s, on one
+/// thread with compiled traces and no disk cache.
+campaign::CampaignSpec surveyed_grid(unsigned lane_width) {
+  static constexpr systems::SystemId kTableOne[] = {
+      systems::SystemId::kSmartPowerUnit, systems::SystemId::kPlugAndPlay,
+      systems::SystemId::kAmbiMax,        systems::SystemId::kMpWiNode,
+      systems::SystemId::kMax17710Eval,   systems::SystemId::kCymbetEval09,
+      systems::SystemId::kEhLink};
+  campaign::CampaignSpec spec;
+  for (const systems::SystemId id : kTableOne)
+    spec.platforms.push_back(
+        {std::string(systems::to_string(id)),
+         [id](std::uint64_t seed) { return systems::build(id, seed); }});
+  for (const bool outdoor : {true, false}) {
+    campaign::Scenario sc;
+    sc.name = outdoor ? "outdoor" : "indoor-industrial";
+    sc.environment = [outdoor](std::uint64_t seed) {
+      return std::make_unique<env::Environment>(
+          outdoor ? env::Environment::outdoor(seed)
+                  : env::Environment::indoor_industrial(seed));
+    };
+    sc.duration = Seconds{86400.0};
+    sc.options.dt = Seconds{5.0};
+    spec.scenarios.push_back(std::move(sc));
+  }
+  spec.seeds = {1, 2, 3};
+  spec.threads = 1;
+  spec.lane_width = lane_width;
+  return spec;
+}
+
+void BM_Surveyed_Grid(benchmark::State& state) {
+  // The paper's workload end to end (trace compiles included) at lane width
+  // range(0): 1 is the one-job-at-a-time path, 8 puts each trace's seven
+  // platforms in one batched block. Items are lane-steps.
+  const auto width = static_cast<unsigned>(state.range(0));
+  std::uint64_t jobs = 0;
+  for (auto _ : state) {
+    campaign::Campaign c(surveyed_grid(width));
+    jobs += c.run().size();
+    benchmark::DoNotOptimize(c.results().data());
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(jobs) * 86400 / 5);
+}
+BENCHMARK(BM_Surveyed_Grid)->Arg(1)->Arg(8)->Unit(benchmark::kMillisecond);
+
 void BM_Campaign_Grid_WarmCache(benchmark::State& state) {
   // Same grid as BM_Campaign_Grid, but every (scenario, seed) timeline is
   // served from the persistent on-disk cache, memory-mapped instead of

@@ -66,6 +66,10 @@ class StageClock {
  public:
   [[nodiscard]] static std::uint64_t read() {
 #if defined(__x86_64__) || defined(__i386__)
+    // lfence: the read waits for every earlier instruction to finish, so a
+    // long-latency result (an expm1) is charged to the stage that computed
+    // it, not to the next stage that reads it.
+    _mm_lfence();
     return __rdtsc();
 #else
     return static_cast<std::uint64_t>(

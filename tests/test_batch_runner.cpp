@@ -14,6 +14,7 @@
 
 #include "campaign/campaign.hpp"
 #include "campaign/export.hpp"
+#include "env/compiled_trace.hpp"
 #include "env/environment.hpp"
 #include "fault/injector.hpp"
 #include "harvest/transducers.hpp"
@@ -23,7 +24,9 @@
 #include "power/mppt.hpp"
 #include "storage/battery.hpp"
 #include "storage/supercapacitor.hpp"
+#include "obs/stage_timer.hpp"
 #include "obs/timeline.hpp"
+#include "systems/batch_runner.hpp"
 #include "systems/catalog.hpp"
 #include "systems/platform.hpp"
 #include "systems/runner.hpp"
@@ -345,6 +348,42 @@ CampaignSpec leak_grid(bool leaky) {
   spec.seeds = {2};
   spec.compile_traces = true;
   return spec;
+}
+
+// The timed lane kernel: the same bytes as the untimed one, every stage of
+// the step reached on the seven Table I platforms, and no stage time
+// counted twice (the stages fit inside the run they were timed in).
+TEST(BatchRunner, StageClockRunIsByteIdenticalAndTimesEveryStage) {
+  auto source = env::Environment::outdoor(4);
+  const auto trace =
+      env::CompiledTrace::compile(source, Seconds{5.0}, Seconds{3600.0});
+  systems::RunOptions options;
+  options.dt = Seconds{5.0};
+  const auto run = [&](obs::StageClock* clock) {
+    auto platforms = systems::build_all_surveyed(4);
+    systems::BatchRunner runner(trace, Seconds{3600.0}, options);
+    for (auto& p : platforms) runner.add_lane(*p);
+    std::vector<std::string> out;
+    for (const auto& r : clock != nullptr ? runner.run(*clock) : runner.run())
+      out.push_back(to_string(r));
+    return out;
+  };
+  obs::StageClock clock;
+  const std::uint64_t start = obs::StageClock::read();
+  const auto timed = run(&clock);
+  const std::uint64_t total = obs::StageClock::read() - start;
+  EXPECT_EQ(timed, run(nullptr));
+
+  std::uint64_t ticks = 0;
+  for (std::size_t s = 0; s < obs::kStageCount; ++s) {
+    const auto stage = static_cast<obs::Stage>(s);
+    EXPECT_GT(clock.calls(stage), 0u) << obs::stage_name(stage);
+    ticks += clock.ticks(stage);
+  }
+  EXPECT_LE(ticks, total);
+  // One decode per step; one lane tail per lane-step.
+  EXPECT_EQ(clock.calls(obs::Stage::kAmbientDecode), trace->step_count());
+  EXPECT_EQ(clock.calls(obs::Stage::kLaneTail), 7 * trace->step_count());
 }
 
 TEST(LeakDetector, FlagsSuperlinearStorageLoss) {

@@ -19,6 +19,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <string_view>
+#include <type_traits>
 
 #if defined(__x86_64__) || defined(__i386__)
 #include <x86intrin.h>
@@ -60,6 +61,7 @@ struct NoStageTimer {
   [[nodiscard]] std::uint64_t start() const { return 0; }
   std::uint64_t lap(Stage /*stage*/, std::uint64_t /*since*/) { return 0; }
 };
+static_assert(std::is_empty_v<NoStageTimer>);
 
 /// Accumulates ticks and calls per stage. One clock per thread.
 class StageClock {

@@ -465,7 +465,7 @@ INSTANTIATE_TEST_SUITE_P(AllHarvesters, HarvesterInvariants,
                          });
 
 // ---------------------------------------------------------------------------
-// MPP memoization (conditions-keyed cache on the Harvester base)
+// MPP oracle: every query is a solve, counted by mpp_recomputes()
 // ---------------------------------------------------------------------------
 
 TEST(MppCache, RepeatedQueriesSolveTheSamePoint) {
